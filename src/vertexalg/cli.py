@@ -140,16 +140,6 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dong(args) -> int:
-    sig = _load(args.config)
-    return _emit_report(args, verify_dong(sig, args.k_max))
-
-
-def _cmd_locfun(args) -> int:
-    sig = _load(args.config)
-    return _emit_report(args, verify_locfun(sig, args.length))
-
-
 def _cmd_verify(args) -> int:
     suite = args.suite
     if suite == "dong":
@@ -220,15 +210,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("dong", help="locality order closed form vs brute force")
-    p.add_argument("config")
-    p.add_argument("k_max", type=int, nargs="?", default=4)
-    p.set_defaults(func=_cmd_dong)
-
-    p = sub.add_parser("locfun", help="locality function of the conformal algebra")
-    p.add_argument("config")
-    p.add_argument("length", type=int)
-    p.set_defaults(func=_cmd_locfun)
+    for suite, text in (
+        ("dong", "locality order closed form vs brute force"),
+        ("locfun", "locality function of the conformal algebra"),
+    ):
+        p = sub.add_parser(suite, help=f"{text} (same as verify {suite})")
+        p.add_argument("params", nargs="*")
+        p.set_defaults(func=_cmd_verify, suite=suite)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")

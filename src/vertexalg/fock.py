@@ -2,9 +2,12 @@
 
 The vertex algebra structure is generated from three ingredients: the
 cocycle sign, the Heisenberg action, and the closed formula for products of
-two charged vacua.  Products with more general factors are computed by
-structural recursion that peels creation letters off one side, so every
-computation is finite and exact; vertex-operator exponentials never appear.
+two charged vacua.  Every other product goes through one associativity
+recursion whose left factor is a right-normed word of charged vacua v_lam
+and Heisenberg vectors h(-1)vac; a state is itself such a word,
+h1[-k1] ( ... (hm[-km] (v_charge[-1] vac))).  Both sums of the identity are
+truncated by the degree floor, so every computation is finite and exact;
+vertex-operator exponentials never appear.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -25,7 +28,7 @@ from .signature import (
     pairing,
     weight_add,
 )
-from .words import FreeElement, Word, binomial
+from .words import Combination, FreeElement, Word, accumulate, binomial
 
 # A state is (heis, charge); heis is a tuple of (level, gen) with level >= 1.
 State = tuple
@@ -35,73 +38,17 @@ def vacuum_state(sig: Signature, charge: Weight = None) -> State:
     return ((), charge if charge is not None else sig.zero_weight())
 
 
-def state_weight(st: State) -> Weight:
-    return st[1]
-
-
 def state_deg2(sig: Signature, st: State) -> int:
     return pairing(sig, st[1], st[1]) + 2 * sum(k for k, _ in st[0])
 
 
-class FockElement:
+class FockElement(Combination):
     """Finite rational combination of states."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for st, c in terms.items():
-                if c:
-                    data[st] = c
-        self.terms = data
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "FockElement") -> "FockElement":
-        data = dict(self.terms)
-        for st, c in other.terms.items():
-            data[st] = data.get(st, 0) + c
-        return FockElement(data)
-
-    def __sub__(self, other: "FockElement") -> "FockElement":
-        data = dict(self.terms)
-        for st, c in other.terms.items():
-            data[st] = data.get(st, 0) - c
-        return FockElement(data)
-
-    def __neg__(self) -> "FockElement":
-        return FockElement({st: -c for st, c in self.terms.items()})
-
-    def scale(self, c) -> "FockElement":
-        if not c:
-            return FOCK_ZERO
-        return FockElement({st: c * x for st, x in self.terms.items()})
-
-    def support(self):
-        return set(self.terms)
-
-    def __repr__(self):
-        return f"FockElement({self.terms!r})"
+    __slots__ = ()
 
 
 FOCK_ZERO = FockElement()
-
-
-def _acc(data: dict, elem: "FockElement", c=1) -> None:
-    # accumulate c * elem into a plain dict (hot path; avoids __add__ churn)
-    for st, x in elem.terms.items():
-        data[st] = data.get(st, 0) + c * x
 
 
 def state_element(st: State) -> FockElement:
@@ -173,7 +120,7 @@ def charge_act(sig: Signature, lam: Weight, n: int, x: FockElement) -> FockEleme
     data = {}
     for g, c in enumerate(lam):
         if c:
-            _acc(data, heis_act(sig, g, n, x), c)
+            accumulate(data, heis_act(sig, g, n, x), c)
     return FockElement(data)
 
 
@@ -229,7 +176,7 @@ def product_charged(sig: Signature, alpha: Weight, n: int, x: FockElement) -> Fo
     """Product v_alpha [n] x, by stripping creation letters off the right."""
     data = {}
     for st, c in x.terms.items():
-        _acc(data, _charged_state(sig, alpha, n, st), c)
+        accumulate(data, _charged_state(sig, alpha, n, st), c)
     return FockElement(data)
 
 
@@ -249,8 +196,10 @@ def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
 
 # --- products with word-shaped left factors ---------------------------------
 
-# A charged word is a tuple of (charge, mode) pairs; it denotes the
-# right-normed product of the corresponding charged vacua.
+# A charged word is a tuple of (letter, mode) pairs; it denotes the
+# right-normed product of its letters.  A letter is either a weight lam,
+# standing for the charged vacuum v_lam, or a generator index g, standing for
+# the Heisenberg vector g(-1)vac (weight 0, doubled degree 2, even).
 CWord = tuple
 
 
@@ -258,37 +207,50 @@ def charged_word(sig: Signature, w: Word) -> CWord:
     return tuple((sig.unit_weight(g), n) for g, n in w)
 
 
-def _cword_weight(cw: CWord) -> Weight:
-    out = None
-    for lam, _ in cw:
-        out = lam if out is None else weight_add(out, lam)
-    return out
+def _state_word(st: State) -> CWord:
+    """The state h1(-k1)...hm(-km) v_charge as the word h1(-k1)...hm(-km) v_charge(-1)."""
+    heis, charge = st
+    return tuple((g, -k) for k, g in heis) + ((charge, -1),)
 
 
-def _cword_deg2(sig: Signature, cw: CWord) -> int:
-    return sum(pairing(sig, lam, lam) - 2 * n - 2 for lam, n in cw)
+def _letter_grade(sig: Signature, x):
+    """Weight and doubled degree of the vector a letter stands for."""
+    if isinstance(x, int):
+        return sig.zero_weight(), 2
+    return x, pairing(sig, x, x)
 
 
-def _elem_deg2_max(sig: Signature, x: FockElement) -> int:
-    return max(state_deg2(sig, st) for st in x.terms)
+def _letter_act(sig: Signature, x, n: int, st: State) -> FockElement:
+    """Product x [n] st of a letter's vector with a state."""
+    if isinstance(x, int):
+        return heis_act(sig, x, n, state_element(st))
+    return _charged_state(sig, x, n, st)
 
 
 @cache
 def _word_state(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
     """Product (charged word cw) [m] state, via the associativity identity.
 
-    Single letters reduce through the translation shift to charged-vacuum
-    products.  For longer words the first sum is truncated by the degree
-    floor and the second by the locality bound of the split-off vacuum
-    against the right factor.
+    Single letters reduce through the translation shift to a letter acting
+    on the state.  For longer words both sums are truncated by the degree
+    floor.
     """
     if not cw:
         return state_element(st) if m == -1 else FOCK_ZERO
-    mu = weight_add(_cword_weight(cw), state_weight(st))
-    if _cword_deg2(sig, cw) + state_deg2(sig, st) - 2 * m - 2 < min_deg2(sig, mu):
+    x, n = cw[0]
+    tail = cw[1:]
+    alpha, dx = _letter_grade(sig, x)
+    tail_weight = sig.zero_weight()
+    d2s = d2t = state_deg2(sig, st)
+    for y, k in tail:
+        wy, dy = _letter_grade(sig, y)
+        tail_weight = weight_add(tail_weight, wy)
+        d2t += dy - 2 * k - 2
+    mu1 = weight_add(tail_weight, st[1])
+    mu = weight_add(alpha, mu1)
+    if dx - 2 * n - 2 + d2t - 2 * m - 2 < min_deg2(sig, mu):
         return FOCK_ZERO
-    alpha, n = cw[0]
-    if len(cw) == 1:
+    if not tail:
         if n >= 0:
             return FOCK_ZERO
         j = -n - 1
@@ -297,20 +259,12 @@ def _word_state(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
             return FOCK_ZERO
         if j & 1:
             c = -c
-        return _charged_state(sig, alpha, m - j, st).scale(c)
+        return _letter_act(sig, x, m - j, st).scale(c)
 
-    tail = cw[1:]
-    tail_weight = _cword_weight(tail)
-    koszul = (
-        -1
-        if (pairing(sig, alpha, alpha) & 1) and (pairing(sig, tail_weight, tail_weight) & 1)
-        else 1
-    )
+    koszul = -1 if (dx & 1) and (pairing(sig, tail_weight, tail_weight) & 1) else 1
     data = {}
 
-    # first sum: v_alpha [n-s] (tail [m+s] state), s >= 0, degree floor window
-    mu1 = weight_add(tail_weight, state_weight(st))
-    d2t = _cword_deg2(sig, tail) + state_deg2(sig, st)
+    # first sum: x [n-s] (tail [m+s] state), s >= 0
     s_hi = (d2t - 2 * m - 2 - min_deg2(sig, mu1)) // 2
     if n >= 0:
         s_hi = min(s_hi, n)
@@ -322,23 +276,25 @@ def _word_state(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
         if inner.is_zero():
             continue
         coeff = -b if s & 1 else b
-        _acc(data, product_charged(sig, alpha, n - s, inner), coeff)
+        if isinstance(x, int):
+            accumulate(data, heis_act(sig, x, n - s, inner), coeff)
+        else:
+            accumulate(data, product_charged(sig, x, n - s, inner), coeff)
 
-    # second sum: tail [m+s] (v_alpha [n-s] state), s <= n, locality window
-    upper = -pairing(sig, alpha, state_weight(st)) + sum(k for k, _ in st[0])
-    s_lo = n - upper + 1
+    # second sum: tail [m+s] (x [n-s] state), s <= n
+    s_lo = (min_deg2(sig, weight_add(alpha, st[1])) - dx - d2s) // 2 + n + 1
     if n >= 0:
         s_lo = max(s_lo, 0)
     for s in range(s_lo, n + 1):
         b = binomial(n, n - s)
         if not b:
             continue
-        inner = _charged_state(sig, alpha, n - s, st)
+        inner = _letter_act(sig, x, n - s, st)
         if inner.is_zero():
             continue
         coeff = -koszul * b if not s & 1 else koszul * b
         for st2, c2 in inner.terms.items():
-            _acc(data, _word_state(sig, tail, m + s, st2), coeff * c2)
+            accumulate(data, _word_state(sig, tail, m + s, st2), coeff * c2)
 
     return FockElement(data)
 
@@ -347,7 +303,7 @@ def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockEleme
     """Product of the image of a right-normed word with a general element."""
     data = {}
     for st, c in x.terms.items():
-        _acc(data, _word_state(sig, cw, m, st), c)
+        accumulate(data, _word_state(sig, cw, m, st), c)
     return FockElement(data)
 
 
@@ -363,56 +319,7 @@ def embed(sig: Signature, x: FreeElement) -> FockElement:
     """Homomorphism from the free algebra sending each generator a to v_a."""
     data = {}
     for w, c in x.terms.items():
-        _acc(data, _embed_word(sig, w), c)
-    return FockElement(data)
-
-
-# --- fully general products -------------------------------------------------
-
-
-@cache
-def _state_state(sig: Signature, s1: State, n: int, s2: State) -> FockElement:
-    """Product of two arbitrary states, peeling creation letters off the left.
-
-    With s1 = h(-k) u, the associativity identity gives
-      (h(-k) u) [n] y = sum_{s>=0} (-1)^s C(-k,s) h(-k-s) (u [n+s] y)
-                      - sum_{s<=-k} (-1)^s C(-k,-k-s) u [n+s] (h(-k-s) y).
-    The first sum is truncated by the degree floor; the second collapses to
-    the finitely many s where h(-k-s) does not annihilate y.
-    """
-    mu = weight_add(state_weight(s1), state_weight(s2))
-    if state_deg2(sig, s1) + state_deg2(sig, s2) - 2 * n - 2 < min_deg2(sig, mu):
-        return FOCK_ZERO
-    heis, charge = s1
-    if not heis:
-        return _charged_state(sig, charge, n, s2)
-    k, g = heis[0]
-    u = (heis[1:], charge)
-    y = state_element(s2)
-    data = {}
-
-    mu1 = weight_add(state_weight(u), state_weight(s2))
-    d2t = state_deg2(sig, u) + state_deg2(sig, s2)
-    s_hi = (d2t - 2 * n - 2 - min_deg2(sig, mu1)) // 2
-    for s in range(0, s_hi + 1):
-        b = binomial(-k, s)
-        inner = _state_state(sig, u, n + s, s2)
-        if inner.is_zero():
-            continue
-        coeff = -b if s & 1 else b
-        _acc(data, heis_act(sig, g, -k - s, inner), coeff)
-
-    levels = {0} | {lev for lev, _ in s2[0]}
-    for j in sorted(levels):
-        s = -k - j
-        b = binomial(-k, j)
-        inner = heis_act(sig, g, j, y)
-        if inner.is_zero():
-            continue
-        coeff = -b if not s & 1 else b
-        for st2, c2 in inner.terms.items():
-            _acc(data, _state_state(sig, u, n + s, st2), coeff * c2)
-
+        accumulate(data, _embed_word(sig, w), c)
     return FockElement(data)
 
 
@@ -420,11 +327,9 @@ def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> Foc
     """General bilinear product x [n] y of Fock elements."""
     data = {}
     for s1, c1 in x.terms.items():
+        cw = _state_word(s1)
         for s2, c2 in y.terms.items():
-            part = _state_state(sig, s1, n, s2)
-            if part.is_zero():
-                continue
-            _acc(data, part, c1 * c2)
+            accumulate(data, _word_state(sig, cw, n, s2), c1 * c2)
     return FockElement(data)
 
 

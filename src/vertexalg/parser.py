@@ -113,27 +113,36 @@ class _Parser:
             raise ParseError(f"unknown generator {tok[1]!r}", tok[2]) from None
 
     def monomial(self):
-        tok = self.next()
-        if tok[0] == "VAC":
-            return Vac()
-        if tok[0] == "IDENT":
-            g = self.gen_index(tok)
-            if self.peek()[0] == "LPAREN":
+        # a right-normed prefix gen(mode) gen(mode) ... is read in a loop
+        prefix = []
+        while True:
+            tok = self.next()
+            if tok[0] == "VAC":
+                node = Vac()
+                break
+            if tok[0] == "IDENT":
+                g = self.gen_index(tok)
+                if self.peek()[0] != "LPAREN":
+                    node = Gen(g)
+                    break
                 self.next()
                 mode = self.integer()
                 self.expect("RPAREN", "')'")
-                rest = self.monomial()
-                return Prod(Gen(g), mode, rest)
-            return Gen(g)
-        if tok[0] == "LPAREN":
-            left = self.monomial()
-            self.expect("LBRACK", "'['")
-            mode = self.integer()
-            self.expect("RBRACK", "']'")
-            right = self.monomial()
-            self.expect("RPAREN", "')'")
-            return Prod(left, mode, right)
-        raise ParseError("expected a monomial", tok[2])
+                prefix.append((g, mode))
+                continue
+            if tok[0] == "LPAREN":
+                left = self.monomial()
+                self.expect("LBRACK", "'['")
+                mode = self.integer()
+                self.expect("RBRACK", "']'")
+                right = self.monomial()
+                self.expect("RPAREN", "')'")
+                node = Prod(left, mode, right)
+                break
+            raise ParseError("expected a monomial", tok[2])
+        for g, mode in reversed(prefix):
+            node = Prod(Gen(g), mode, node)
+        return node
 
     def term(self):
         kind = self.peek()[0]
@@ -174,44 +183,21 @@ def parse_element(sig: Signature, text: str) -> FreeElement:
 
 def parse_weight(sig: Signature, text: str):
     """Parse a weight like `2a`, `a+b`, `-a+2b` or `0`."""
-    tokens = _tokenize(text)
-    counts = [0] * sig.size
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    sign = 1
-    tok = peek()
-    if tok[0] == "MINUS":
-        advance()
-        sign = -1
-    if peek()[0] == "INT" and peek()[1] == 0 and tokens[pos + 1][0] == "EOF" and sign == 1:
+    parser = _Parser(sig, text)
+    if [tok[:2] for tok in parser.tokens] == [("INT", 0), ("EOF", None)]:
         return sig.zero_weight()
+    counts = [0] * sig.size
+    sign = 1
+    if parser.peek()[0] == "MINUS":
+        parser.next()
+        sign = -1
     while True:
-        mult = 1
-        if peek()[0] == "INT":
-            mult = advance()[1]
-        tok = advance()
-        if tok[0] != "IDENT":
-            raise ParseError("expected a generator name", tok[2])
-        try:
-            g = sig.index(tok[1])
-        except SignatureError:
-            raise ParseError(f"unknown generator {tok[1]!r}", tok[2]) from None
+        mult = parser.next()[1] if parser.peek()[0] == "INT" else 1
+        g = parser.gen_index(parser.expect("IDENT", "a generator name"))
         counts[g] += sign * mult
-        tok = advance()
+        tok = parser.next()
         if tok[0] == "EOF":
             return tuple(counts)
-        if tok[0] == "PLUS":
-            sign = 1
-        elif tok[0] == "MINUS":
-            sign = -1
-        else:
+        if tok[0] not in ("PLUS", "MINUS"):
             raise ParseError("expected '+', '-' or end of weight", tok[2])
+        sign = 1 if tok[0] == "PLUS" else -1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .signature import Signature
-from .words import FreeElement, Word, binomial
+from .words import FreeElement, Word, accumulate, binomial
 
 
 @dataclass
@@ -202,7 +202,7 @@ def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard, bu
         if exp is None:
             j = find_redex(sig, w, strategy)
             if j is None:
-                cache[w] = (FreeElement({w: 1}), 0, 0)
+                cache[w] = (FreeElement({w: 1}), 0)
                 stack.pop()
                 continue
             guard[0] += 1
@@ -214,14 +214,11 @@ def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard, bu
             continue
         data = {}
         steps = 1
-        kills = 0
         for u, c in exp.terms.items():
-            ru, su, ku = cache[u]
+            ru, su = cache[u]
             steps += su
-            kills += ku
-            for wb, cb in ru.terms.items():
-                data[wb] = data.get(wb, 0) + c * cb
-        cache[w] = (FreeElement(data), steps, kills)
+            accumulate(data, ru, c)
+        cache[w] = (FreeElement(data), steps)
         del pending[w]
         stack.pop()
     return cache[w0]
@@ -251,9 +248,7 @@ def normal_form(
         if is_null_word(sig, w):
             q_kills += 1
             continue
-        rw, sw, kw = _reduce_word(sig, w, strategy, cache, guard, step_budget)
+        rw, sw = _reduce_word(sig, w, strategy, cache, guard, step_budget)
         steps += sw
-        q_kills += kw
-        for wb, cb in rw.terms.items():
-            data[wb] = data.get(wb, 0) + c * cb
+        accumulate(data, rw, c)
     return RewriteOutcome(FreeElement(data), steps, q_kills)

@@ -169,10 +169,6 @@ def weight_neg(lam: Weight) -> Weight:
     return tuple(-a for a in lam)
 
 
-def weight_size(lam: Weight) -> int:
-    return sum(abs(a) for a in lam)
-
-
 def format_weight(sig: Signature, lam: Weight) -> str:
     """Render a weight as a signed generator combination, e.g. `2a-b`."""
     parts = []

@@ -48,23 +48,17 @@ def _ceildiv(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-class FreeElement:
-    """Finite rational linear combination of words.
+class Combination:
+    """Finite rational linear combination of hashable basis keys.
 
-    Immutable by convention: all operations return fresh elements.  Words
-    ending in a nonnegative mode are dropped at construction since they
-    represent zero.
+    Immutable by convention: all operations return fresh elements of the
+    same type.  Zero coefficients are dropped at construction.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for w, c in terms.items():
-                if c and (not w or w[-1][1] < 0):
-                    data[w] = c
-        self.terms = data
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -73,36 +67,57 @@ class FreeElement:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FreeElement) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "FreeElement") -> "FreeElement":
+    def __add__(self, other):
         data = dict(self.terms)
-        for w, c in other.terms.items():
-            data[w] = data.get(w, 0) + c
-        return FreeElement(data)
+        for k, c in other.terms.items():
+            data[k] = data.get(k, 0) + c
+        return type(self)(data)
 
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
+    def __sub__(self, other):
         data = dict(self.terms)
-        for w, c in other.terms.items():
-            data[w] = data.get(w, 0) - c
-        return FreeElement(data)
+        for k, c in other.terms.items():
+            data[k] = data.get(k, 0) - c
+        return type(self)(data)
 
-    def __neg__(self) -> "FreeElement":
-        return FreeElement({w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
 
-    def scale(self, c) -> "FreeElement":
+    def scale(self, c):
         if not c:
-            return ZERO
-        return FreeElement({w: c * x for w, x in self.terms.items()})
+            return type(self)()
+        return type(self)({k: c * x for k, x in self.terms.items()})
 
     def support(self):
         return set(self.terms)
 
     def __repr__(self):
-        return f"FreeElement({self.terms!r})"
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+def accumulate(data: dict, elem: Combination, c=1) -> None:
+    """Add c * elem into the plain dict `data`, in place."""
+    for k, x in elem.terms.items():
+        data[k] = data.get(k, 0) + c * x
+
+
+class FreeElement(Combination):
+    """Finite rational linear combination of words.
+
+    Words ending in a nonnegative mode are dropped at construction since
+    they represent zero.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        self.terms = (
+            {w: c for w, c in terms.items() if c and (not w or w[-1][1] < 0)} if terms else {}
+        )
 
 
 ZERO = FreeElement()
@@ -140,11 +155,6 @@ def word_grade(sig: Signature, w: Word):
 def sort_key(sig: Signature, w: Word):
     """Canonical total order: by weight, then doubled degree, then letters."""
     return (word_weight(sig, w), word_deg2(sig, w), w)
-
-
-def is_homogeneous(sig: Signature, x: FreeElement) -> bool:
-    grades = {(word_weight(sig, w), word_deg2(sig, w)) for w in x.terms}
-    return len(grades) <= 1
 
 
 def translate(x: FreeElement, k: int = 1) -> FreeElement:
@@ -226,8 +236,7 @@ def _word_product(sig: Signature, wu: Word, m: int, wv: Word) -> FreeElement:
         if inner.is_zero():
             continue
         coeff = -b if s & 1 else b
-        for w, c in _prepend(a, n - s, inner).terms.items():
-            data[w] = data.get(w, 0) + coeff * c
+        accumulate(data, _prepend(a, n - s, inner), coeff)
 
     # second sum: tail [m+s] (a(n-s) wv) for s <= n, truncated where the
     # inner word falls below its degree floor; empty when wv is the vacuum
@@ -245,8 +254,7 @@ def _word_product(sig: Signature, wu: Word, m: int, wv: Word) -> FreeElement:
             if inner.is_zero():
                 continue
             coeff = -koszul * b if not s & 1 else koszul * b
-            for w, c in inner.terms.items():
-                data[w] = data.get(w, 0) + coeff * c
+            accumulate(data, inner, coeff)
 
     return FreeElement(data)
 
@@ -259,9 +267,7 @@ def product(sig: Signature, u: FreeElement, m: int, v: FreeElement) -> FreeEleme
             part = _word_product(sig, wu, m, wv)
             if part.is_zero():
                 continue
-            cc = cu * cv
-            for w, c in part.terms.items():
-                data[w] = data.get(w, 0) + cc * c
+            accumulate(data, part, cu * cv)
     return FreeElement(data)
 
 
@@ -289,14 +295,24 @@ VertexExpr = object  # Gen | Vac | Prod
 
 
 def evaluate(sig: Signature, expr) -> FreeElement:
-    """Evaluate an expression tree; arbitrary parenthesization is allowed."""
+    """Evaluate an expression tree; arbitrary parenthesization is allowed.
+
+    The right spine of a product chain is walked iteratively, so a long
+    right-normed word does not deepen the recursion.
+    """
+    spine = []
+    while isinstance(expr, Prod):
+        spine.append(expr)
+        expr = expr.right
     if isinstance(expr, Vac):
-        return VACUUM
-    if isinstance(expr, Gen):
-        return gen_element(expr.index)
-    if isinstance(expr, Prod):
-        return product(sig, evaluate(sig, expr.left), expr.mode, evaluate(sig, expr.right))
-    raise TypeError(f"not a vertex expression: {expr!r}")
+        out = VACUUM
+    elif isinstance(expr, Gen):
+        out = gen_element(expr.index)
+    else:
+        raise TypeError(f"not a vertex expression: {expr!r}")
+    for node in reversed(spine):
+        out = product(sig, evaluate(sig, node.left), node.mode, out)
+    return out
 
 
 # --- printing ---------------------------------------------------------------

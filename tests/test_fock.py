@@ -207,6 +207,7 @@ def test_homomorphism_on_random_pairs():
             lhs = embed(sig, fproduct(sig, u, m, v))
             rhs = product_word(sig, charged_word(sig, wu), m, embed(sig, v))
             assert lhs == rhs
+            assert product_state(sig, embed(sig, u), m, embed(sig, v)) == lhs
 
 
 def test_state_product_agrees_with_word_route(ferm):

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import vertexalg
 
 from vertexalg import ParseError, parse_element, parse_expr, parse_weight
 from vertexalg.words import FreeElement, Gen, Prod, Vac, evaluate, format_element
@@ -95,6 +101,21 @@ def test_cli_product(ferm_cfg, capsys):
     code = cli.run(["product", ferm_cfg, "a(-2)vac", "-1", "a(-1)vac"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "a(-2)a(-1)vac"
+
+
+def test_cli_long_right_normed_word(ferm_cfg):
+    # a long right-normed word must not reach the recursion limit
+    env = dict(os.environ, PYTHONPATH=str(Path(vertexalg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vertexalg.cli", "normal-form", ferm_cfg, "a(-1)" * 1200 + "vac"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "0"
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_parse_error_exit(ferm_cfg, capsys):
