@@ -114,9 +114,12 @@ def colored_partitions(total: int, caps):
 
 
 def basis_words(sig: Signature, lam: Weight, deg2: int):
-    """All basic words of the given weight and doubled degree, sorted."""
+    """All basic words of the given weight and doubled degree, sorted.
+
+    A weight with a negative entry has no words.
+    """
     floor = min_deg2(sig, lam)
-    if deg2 < floor or (deg2 - floor) & 1:
+    if deg2 < floor or (deg2 - floor) & 1 or any(c < 0 for c in lam):
         return []
     excess = (deg2 - floor) // 2
     out = [
@@ -129,6 +132,4 @@ def basis_words(sig: Signature, lam: Weight, deg2: int):
 
 def dim_component(sig: Signature, lam: Weight, deg2: int) -> int:
     """Dimension of the homogeneous component of weight lam and doubled degree deg2."""
-    if any(c < 0 for c in lam):
-        return 0
     return len(basis_words(sig, lam, deg2))

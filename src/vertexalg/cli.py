@@ -32,12 +32,17 @@ def _load(path: str) -> Signature:
         raise SignatureError(f"cannot read configuration {path!r}: {exc}") from None
 
 
+def _int_param(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SignatureError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _deg2_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
-    return range(value, value + 1)
+    lo, dots, hi = text.partition("..")
+    lo = _int_param("deg2", lo)
+    return range(lo, (_int_param("deg2", hi) if dots else lo) + 1)
 
 
 def _emit(args, payload: dict, text: str):
@@ -146,13 +151,13 @@ def _cmd_verify(args) -> int:
         if not args.params:
             raise SignatureError("verify dong needs a configuration file")
         sig = _load(args.params[0])
-        k_max = int(args.params[1]) if len(args.params) > 1 else 4
+        k_max = _int_param("k_max", args.params[1]) if len(args.params) > 1 else 4
         return _emit_report(args, verify_dong(sig, k_max))
     if suite == "locfun":
         if not args.params:
             raise SignatureError("verify locfun needs a configuration file")
         sig = _load(args.params[0])
-        lengths = tuple(int(p) for p in args.params[1:]) or (2, 3, 4)
+        lengths = tuple(_int_param("length", p) for p in args.params[1:]) or (2, 3, 4)
         return _emit_report(args, verify_locfun(sig, lengths))
     if suite == "presentation":
         if not args.params:
@@ -160,8 +165,8 @@ def _cmd_verify(args) -> int:
         sig = _load(args.params[0])
         return _emit_report(args, verify_presentation(sig))
     if suite == "boson-fermion":
-        k_max = int(args.params[0]) if args.params else 4
-        d_max = int(args.params[1]) if len(args.params) > 1 else 6
+        k_max = _int_param("k_max", args.params[0]) if args.params else 4
+        d_max = _int_param("d_max", args.params[1]) if len(args.params) > 1 else 6
         return _emit_report(args, verify_boson_fermion(k_max, d_max))
     raise SignatureError(
         f"unknown suite {suite!r} (dong, locfun, presentation, boson-fermion)"
@@ -226,9 +231,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dash_positionals(argv: list) -> list:
+    """Put `--` after the subcommand, so that a positional argument may begin
+    with `-` (a weight such as -a+2b, an expression such as -a(-1)vac).
+
+    Subcommands take no options of their own, so nothing is lost; a help
+    request or an explicit `--` is left to argparse.
+    """
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 2 if argv[i] == "--format" else 1
+    rest = argv[i + 1 :]
+    if i >= len(argv) or any(a in ("--", "-h", "--help") for a in rest):
+        return argv
+    return argv[: i + 1] + ["--"] + rest
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_dash_positionals(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ParseError as exc:

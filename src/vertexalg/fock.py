@@ -1,13 +1,16 @@
 """Lattice Fock space on states h1(-k1)...hm(-km) v_charge.
 
-The vertex algebra structure is generated from three ingredients: the
-cocycle sign, the Heisenberg action, and the closed formula for products of
-two charged vacua.  Every other product goes through one associativity
-recursion whose left factor is a right-normed word of charged vacua v_lam
-and Heisenberg vectors h(-1)vac; a state is itself such a word,
-h1[-k1] ( ... (hm[-km] (v_charge[-1] vac))).  Both sums of the identity are
-truncated by the degree floor, so every computation is finite and exact;
-vertex-operator exponentials never appear.
+Charged vacua act through the lattice vertex operator
+Y(v_a, z) = eps e^a z^{a(0)} E^-(a, z) E^+(a, z) (Frenkel-Lepowsky-Meurman;
+Kac, Vertex Algebras for Beginners), read off in closed form: E^- gives
+Schur polynomials S_e(a) in the creation operators a(-j), and E^+ contracts
+each creation letter h(-k) of the right state to a power of z.  One kernel
+applies a single v_a [n] to a state (vacuum products, the embedding of the
+free algebra letter by letter); a second applies the image of a whole
+charged word a1(n1)...ak(nk) vac at once.  Both work over the integers and
+end with one exact division.  The general product of two states peels the
+Heisenberg letters of the left state through the associativity identity,
+truncated by the degree floor, and ends in the single-letter kernel.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -138,45 +141,142 @@ def translate(sig: Signature, x: FockElement) -> FockElement:
     return FockElement(data)
 
 
-@cache
-def _vacuum_product(sig: Signature, alpha: Weight, n: int, beta: Weight) -> FockElement:
-    loc = -pairing(sig, alpha, beta)
-    if n >= loc:
-        return FOCK_ZERO
-    k = loc - n - 1
-    cur = vacuum_element(sig, weight_add(alpha, beta))
-    for _ in range(k):
-        cur = translate(sig, cur) - charge_act(sig, beta, -1, cur)
-    if k > 1:
-        cur = cur.scale(Fraction(1, factorial(k)))
-    return cur.scale(cocycle(sig, alpha, beta))
-
-
-def vacuum_product(sig: Signature, alpha: Weight, n: int, beta: Weight) -> FockElement:
-    """Product of two charged vacua: eps(a,b) (D - b(-1))^(k) v_{a+b}."""
-    return _vacuum_product(sig, alpha, n, beta)
+# --- vertex operators of charged vacua, in closed form ------------------------
+#
+# Y(v_a, z) = eps e^a z^{a(0)} E^-(a, z) E^+(a, z) with
+# E^-(a, z) = exp(sum_j a(-j) z^j / j) = sum_e S_e(a) z^e, a Schur polynomial
+# in the creation operators a(-j), and E^+(a, z) contracting each creation
+# letter h(-k) of the right state to -(a|h) z^{-k}.  Coefficients are
+# integers until one exact division at the end.
 
 
 @cache
-def _charged_state(sig: Signature, alpha: Weight, n: int, st: State) -> FockElement:
-    heis, charge = st
+def _schur(alpha: Weight, e: int) -> tuple:
+    """e! S_e(alpha) as ((heis, int), ...); the coefficients are integers.
+
+    From e S_e = sum_j alpha(-j) S_{e-j}: e! S_e = sum_j (e-1)!/(e-j)! alpha(-j) (e-j)! S_{e-j}.
+    """
+    if e == 0:
+        return (((), 1),)
+    for i in range(1, e):  # fill the table bottom-up, so the recursion stays shallow
+        _schur(alpha, i)
+    data = {}
+    f = 1
+    for j in range(1, e + 1):
+        for heis, c in _schur(alpha, e - j):
+            for g, a in enumerate(alpha):
+                if a:
+                    key = _insert(heis, (j, g))
+                    data[key] = data.get(key, 0) + f * a * c
+        f *= e - j
+    return tuple((k, c) for k, c in data.items() if c)
+
+
+def _merge(heis, mono):
     if not heis:
-        return _vacuum_product(sig, alpha, n, charge)
-    k, g = heis[0]
-    rest = (heis[1:], charge)
-    # v_a [n] (c(-k) y) = c(-k)(v_a [n] y) - (a|c) v_a [n-k] y
-    out = heis_act(sig, g, -k, _charged_state(sig, alpha, n, rest))
-    f = pairing(sig, alpha, sig.unit_weight(g))
-    if f:
-        out = out - _charged_state(sig, alpha, n - k, rest).scale(f)
+        return mono
+    if not mono:
+        return heis
+    return tuple(sorted(heis + mono))
+
+
+def _contractions(sig: Signature, alphas, heis, limit: int) -> list:
+    """The E^+ contractions of the creation letters of heis with the charges alphas.
+
+    Each letter h(-k) is kept or contracted with one alpha_i, for a factor
+    -(alpha_i|h) and k more in shifts[i]; equal letters are grouped with a
+    multinomial multiplicity.  Returns (kept, kept degree, shifts, coefficient)
+    for every choice whose kept letters have degree at most limit.
+    """
+    out = [((), 0, (0,) * len(alphas), 1)]
+    if not heis:
+        return out
+    runs = []
+    for letter in heis:
+        if runs and runs[-1][0] == letter:
+            runs[-1][1] += 1
+        else:
+            runs.append([letter, 1])
+    # -(alpha_i|g) for every generator g
+    neg = [[sum(a * row[g] for a, row in zip(alpha, sig.locality)) for g in range(sig.size)] for alpha in alphas]
+    for (level, g), mult in runs:
+        fs = [f[g] for f in neg]
+        hit = [i for i, f in enumerate(fs) if f]
+        nxt = []
+        for kept, kdeg, shifts, c in out:
+            for r, js, cm in _distributions(mult, len(hit)):
+                if kdeg + level * r > limit:
+                    continue
+                sh = list(shifts)
+                for i, j in zip(hit, js):
+                    sh[i] += level * j
+                    cm *= fs[i] ** j
+                nxt.append((kept + ((level, g),) * r, kdeg + level * r, tuple(sh), c * cm))
+        out = nxt
     return out
 
 
+@cache
+def _distributions(mult: int, parts: int) -> tuple:
+    """(kept, (j_1..j_parts), multinomial) for every split of mult equal letters."""
+    if parts == 0:
+        return ((mult, (), 1),)
+    return tuple(
+        (kept, (j,) + js, binomial(mult, j) * c)
+        for j in range(mult + 1)
+        for kept, js, c in _distributions(mult - j, parts - 1)
+    )
+
+
+def _divide(data: dict, denom: int) -> FockElement:
+    """Element of the integer combination `data` divided exactly by denom."""
+    if denom == 1:
+        return FockElement(data)
+    out = {}
+    for key, c in data.items():
+        q, r = divmod(c, denom)
+        out[key] = Fraction(c, denom) if r else q
+    return FockElement(out)
+
+
+@cache
+def _letter_kernel(sig: Signature, alpha: Weight, n: int, st: State) -> FockElement:
+    """v_alpha [n] st for a state st = h1(-k1)...hm(-km) v_beta, in closed form.
+
+    eps(alpha,beta) sum_S prod_{l in S} (-(alpha|h_l)) S_{e_S}(alpha)
+    prod_{l not in S} h_l(-k_l) v_{alpha+beta}, e_S = -n-1-(alpha|beta) +
+    sum_{l in S} k_l; S runs over the contracted letters, equal letters
+    grouped with a binomial multiplicity.
+    """
+    heis, beta = st
+    degree = -n - 1 - pairing(sig, alpha, beta) + sum(k for k, _ in heis)
+    if degree < 0:
+        return FOCK_ZERO
+    choices = _contractions(sig, (alpha,), heis, degree)
+    if not choices:
+        return FOCK_ZERO
+    denom = factorial(degree - min(kdeg for _, kdeg, _, _ in choices))
+    mu = weight_add(alpha, beta)
+    data = {}
+    for kept, kdeg, _, c in choices:
+        e = degree - kdeg
+        c *= denom // factorial(e)
+        for mono, t in _schur(alpha, e):
+            key = (_merge(kept, mono), mu)
+            data[key] = data.get(key, 0) + c * t
+    return _divide(data, denom * cocycle(sig, alpha, beta))
+
+
+def vacuum_product(sig: Signature, alpha: Weight, n: int, beta: Weight) -> FockElement:
+    """Product of two charged vacua: eps(a,b) S_e(a) v_{a+b}, e = -n-1-(a|b)."""
+    return _letter_kernel(sig, alpha, n, ((), beta))
+
+
 def product_charged(sig: Signature, alpha: Weight, n: int, x: FockElement) -> FockElement:
-    """Product v_alpha [n] x, by stripping creation letters off the right."""
+    """Product v_alpha [n] x, state by state through the closed form."""
     data = {}
     for st, c in x.terms.items():
-        accumulate(data, _charged_state(sig, alpha, n, st), c)
+        accumulate(data, _letter_kernel(sig, alpha, n, st), c)
     return FockElement(data)
 
 
@@ -196,10 +296,8 @@ def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
 
 # --- products with word-shaped left factors ---------------------------------
 
-# A charged word is a tuple of (letter, mode) pairs; it denotes the
-# right-normed product of its letters.  A letter is either a weight lam,
-# standing for the charged vacuum v_lam, or a generator index g, standing for
-# the Heisenberg vector g(-1)vac (weight 0, doubled degree 2, even).
+# A charged word is a tuple of (weight lam, mode) pairs, the right-normed
+# product of the charged vacua v_lam.
 CWord = tuple
 
 
@@ -207,103 +305,148 @@ def charged_word(sig: Signature, w: Word) -> CWord:
     return tuple((sig.unit_weight(g), n) for g, n in w)
 
 
-def _state_word(st: State) -> CWord:
-    """The state h1(-k1)...hm(-km) v_charge as the word h1(-k1)...hm(-km) v_charge(-1)."""
-    heis, charge = st
-    return tuple((g, -k) for k, g in heis) + ((charge, -1),)
+@cache
+def _word_expansion(sig: Signature, cw: CWord) -> tuple:
+    """The part of the word kernel that depends on the word alone.
 
-
-def _letter_grade(sig: Signature, x):
-    """Weight and doubled degree of the vector a letter stands for."""
-    if isinstance(x, int):
-        return sig.zero_weight(), 2
-    return x, pairing(sig, x, x)
-
-
-def _letter_act(sig: Signature, x, n: int, st: State) -> FockElement:
-    """Product x [n] st of a letter's vector with a state."""
-    if isinstance(x, int):
-        return heis_act(sig, x, n, state_element(st))
-    return _charged_state(sig, x, n, st)
+    Returns (d0, sign, terms).  d0 = -sum_i (n_i+1) - sum_{i<j} (a_i|a_j)
+    is the word's share of the output degree, sign = prod_{i<j} eps(a_i,a_j),
+    and terms holds pairs (t, b): b is the coefficient of
+    prod_i z_i^{-n_i-1-t_i} in prod_{i<j} (z_i - z_j)^{(a_i|a_j)}, expanded
+    for |z_i| > |z_j|.  The expansion indices s_ij are enumerated column by
+    column, last variable first; each t_i = -n_i-1 - (exponent of z_i so
+    far) must stay >= 0, which bounds every s_ij.
+    """
+    k = len(cw)
+    alphas = [a for a, _ in cw]
+    pair = [[pairing(sig, alphas[i], alphas[j]) for j in range(k)] for i in range(k)]
+    sign = 1
+    for i in range(k):
+        for j in range(i + 1, k):
+            sign *= cocycle(sig, alphas[i], alphas[j])
+    room0 = [-n - 1 - sum(pair[i][i + 1 :]) for i, (_, n) in enumerate(cw)]
+    partial = [((0,) * k, (), 1)]  # (sum_{j>i} s_ij so far, t suffix, coefficient)
+    for i in reversed(range(k)):
+        rows = [(up, ts, b, room0[i] + up[i]) for up, ts, b in partial if room0[i] + up[i] >= 0]
+        for j in range(i):
+            c = pair[j][i]
+            nxt = []
+            for up, ts, b, room in rows:
+                top = room if c < 0 else min(room, c)
+                for s in range(top + 1):
+                    bs = binomial(c, s)
+                    nxt.append((up[:j] + (up[j] + s,) + up[j + 1 :], ts, -b * bs if s & 1 else b * bs, room - s))
+            rows = nxt
+        partial = [(up, (room,) + ts, b) for up, ts, b, room in rows]
+    terms = {}
+    for _, ts, b in partial:
+        terms[ts] = terms.get(ts, 0) + b
+    d0 = -sum(n + 1 for _, n in cw) - sum(pair[i][j] for i in range(k) for j in range(i + 1, k))
+    return d0, sign, tuple((ts, b) for ts, b in terms.items() if b)
 
 
 @cache
-def _word_state(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
-    """Product (charged word cw) [m] state, via the associativity identity.
+def _compositions(total: int, parts: int) -> tuple:
+    if parts == 1:
+        return ((total,),)
+    return tuple((e,) + rest for e in range(total + 1) for rest in _compositions(total - e, parts - 1))
 
-    Single letters reduce through the translation shift to a letter acting
-    on the state.  For longer words both sums are truncated by the degree
-    floor.
-    """
-    if not cw:
-        return state_element(st) if m == -1 else FOCK_ZERO
-    x, n = cw[0]
-    tail = cw[1:]
-    alpha, dx = _letter_grade(sig, x)
-    tail_weight = sig.zero_weight()
-    d2s = d2t = state_deg2(sig, st)
-    for y, k in tail:
-        wy, dy = _letter_grade(sig, y)
-        tail_weight = weight_add(tail_weight, wy)
-        d2t += dy - 2 * k - 2
-    mu1 = weight_add(tail_weight, st[1])
-    mu = weight_add(alpha, mu1)
-    if dx - 2 * n - 2 + d2t - 2 * m - 2 < min_deg2(sig, mu):
-        return FOCK_ZERO
-    if not tail:
-        if n >= 0:
-            return FOCK_ZERO
-        j = -n - 1
-        c = binomial(m, j)
-        if not c:
-            return FOCK_ZERO
-        if j & 1:
-            c = -c
-        return _letter_act(sig, x, m - j, st).scale(c)
 
-    koszul = -1 if (dx & 1) and (pairing(sig, tail_weight, tail_weight) & 1) else 1
+@cache
+def _schur_product(factors: tuple) -> tuple:
+    """prod e! S_e(alpha) over the sorted (alpha, e) factors, as ((heis, int), ...)."""
+    alpha, e = factors[0]
+    if len(factors) == 1:
+        return _schur(alpha, e)
     data = {}
+    for m1, c1 in _schur(alpha, e):
+        for m2, c2 in _schur_product(factors[1:]):
+            key = _merge(m1, m2)
+            data[key] = data.get(key, 0) + c1 * c2
+    return tuple((k, c) for k, c in data.items() if c)
 
-    # first sum: x [n-s] (tail [m+s] state), s >= 0
-    s_hi = (d2t - 2 * m - 2 - min_deg2(sig, mu1)) // 2
-    if n >= 0:
-        s_hi = min(s_hi, n)
-    for s in range(0, s_hi + 1):
-        b = binomial(n, s)
-        if not b:
-            continue
-        inner = _word_state(sig, tail, m + s, st)
-        if inner.is_zero():
-            continue
-        coeff = -b if s & 1 else b
-        if isinstance(x, int):
-            accumulate(data, heis_act(sig, x, n - s, inner), coeff)
-        else:
-            accumulate(data, product_charged(sig, x, n - s, inner), coeff)
 
-    # second sum: tail [m+s] (x [n-s] state), s <= n
-    s_lo = (min_deg2(sig, weight_add(alpha, st[1])) - dx - d2s) // 2 + n + 1
-    if n >= 0:
-        s_lo = max(s_lo, 0)
-    for s in range(s_lo, n + 1):
-        b = binomial(n, n - s)
-        if not b:
-            continue
-        inner = _letter_act(sig, x, n - s, st)
-        if inner.is_zero():
-            continue
-        coeff = -koszul * b if not s & 1 else koszul * b
-        for st2, c2 in inner.terms.items():
-            accumulate(data, _word_state(sig, tail, m + s, st2), coeff * c2)
+@cache
+def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
+    """(a1(n1)...ak(nk) vac) [m] st for a charged word of k >= 2 letters.
 
-    return FockElement(data)
+    The image of the word is Y(v_a1, w+z1)...Y(v_ak, w+zk) at the
+    coefficient of prod z_i^{-n_i-1} w^{-m-1}: on st = h1(-k1)...hm(-km)
+    v_beta that is eps times
+      prod_{i<j} (z_i - z_j)^{(a_i|a_j)} prod_i (w+z_i)^{(a_i|beta)} E^-(a_i, w+z_i)
+      prod_l (h_l(-k_l) - sum_i (a_i|h_l) (w+z_i)^{-k_l}) v_{sum a + beta},
+    with (w+z_i) expanded for |w| > |z_i|, and
+    eps = prod_{i<j} eps(a_i,a_j) prod_i eps(a_i,beta).  The Schur degrees
+    e_i of the E^- factors sum to the output degree minus the kept letters.
+    """
+    heis, beta = st
+    d0, sign, expansion = _word_expansion(sig, cw)
+    alphas = [a for a, _ in cw]
+    k = len(alphas)
+    b = [pairing(sig, a, beta) for a in alphas]
+    degree = d0 - m - 1 - sum(b) + sum(level for level, _ in heis)
+    if degree < 0 or not expansion:
+        return FOCK_ZERO
+    sigmas = _contractions(sig, alphas, heis, degree)
+    weights = {}  # e -> kept -> integer weight
+    for kept, kdeg, shifts, c in sigmas:
+        bp = [b[i] - shifts[i] for i in range(k)]
+        for es in _compositions(degree - kdeg, k):
+            w = 0
+            for ts, bt in expansion:
+                for i in range(k):
+                    x = binomial(es[i] + bp[i], ts[i])
+                    if not x:
+                        break
+                    bt *= x
+                else:
+                    w += bt
+            if w:
+                row = weights.setdefault(es, {})
+                row[kept] = row.get(kept, 0) + c * w
+    if not weights:
+        return FOCK_ZERO
+    denom = factorial(max(sum(es) for es in weights))
+    mu = beta
+    for alpha in alphas:
+        mu = weight_add(mu, alpha)
+        sign *= cocycle(sig, alpha, beta)
+    data = {}
+    for es, row in weights.items():
+        scale = denom
+        factors = []
+        for alpha, e in zip(alphas, es):
+            if e:
+                scale //= factorial(e)
+                factors.append((alpha, e))
+        poly = _schur_product(tuple(sorted(factors))) if factors else (((), 1),)
+        for kept, w in row.items():
+            w *= scale
+            for mono, t in poly:
+                key = (_merge(kept, mono), mu)
+                data[key] = data.get(key, 0) + w * t
+    return _divide(data, denom * sign)
 
 
 def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockElement:
-    """Product of the image of a right-normed word with a general element."""
+    """Product of the image of a right-normed charged word with an element.
+
+    A single letter a(n) vac is the divided power D^(j) v_a, j = -n-1, so
+    it acts as binom(m,j) (-1)^j v_a [m-j]; longer words go through the
+    word kernel.
+    """
+    if not cw:
+        return x if m == -1 else FOCK_ZERO
+    if len(cw) == 1:
+        alpha, n = cw[0]
+        j = -n - 1
+        c = binomial(m, j) if j >= 0 else 0
+        if not c:
+            return FOCK_ZERO
+        return product_charged(sig, alpha, m - j, x).scale(-c if j & 1 else c)
     data = {}
     for st, c in x.terms.items():
-        accumulate(data, _word_state(sig, cw, m, st), c)
+        accumulate(data, _word_kernel(sig, cw, m, st), c)
     return FockElement(data)
 
 
@@ -323,13 +466,69 @@ def embed(sig: Signature, x: FreeElement) -> FockElement:
     return FockElement(data)
 
 
+# --- general products of states ------------------------------------------------
+
+# The state h1(-k1)...hm(-km) v_charge is the right-normed word
+# h1(-k1)...hm(-km) v_charge(-1) whose letters are the Heisenberg vectors
+# h(-1)vac, written as generator indices h, and the charged vacuum v_charge.
+
+
+def _state_word(st: State) -> tuple:
+    heis, charge = st
+    return tuple((g, -k) for k, g in heis) + ((charge, -1),)
+
+
+@cache
+def _word_state(sig: Signature, sw: tuple, m: int, st: State) -> FockElement:
+    """Product (state word sw) [m] state.
+
+    The Heisenberg letters g(-k) at the head are peeled off through the
+    associativity identity, both of whose sums are truncated by the degree
+    floor; the last letter v_charge(-1) vac = v_charge acts in closed form.
+    """
+    x, n = sw[0]
+    tail = sw[1:]
+    if not tail:
+        return _letter_kernel(sig, x, m, st)
+    # x is a generator index: the vector x(-1)vac has weight 0 and doubled degree 2
+    mu = st[1]
+    d2s = d2t = state_deg2(sig, st)
+    for y, k in tail:
+        if isinstance(y, int):
+            d2t += -2 * k
+        else:
+            mu = weight_add(mu, y)
+            d2t += pairing(sig, y, y) - 2 * k - 2
+    if -2 * n + d2t - 2 * m - 2 < min_deg2(sig, mu):
+        return FOCK_ZERO
+    data = {}
+
+    # first sum: x [n-s] (tail [m+s] state), s >= 0
+    for s in range((d2t - 2 * m - 2 - min_deg2(sig, mu)) // 2 + 1):
+        b = binomial(n, s)
+        inner = _word_state(sig, tail, m + s, st)
+        if b and inner:
+            accumulate(data, heis_act(sig, x, n - s, inner), -b if s & 1 else b)
+
+    # second sum: tail [m+s] (x [n-s] state), s <= n
+    for s in range((min_deg2(sig, st[1]) - 2 - d2s) // 2 + n + 1, n + 1):
+        b = binomial(n, n - s)
+        if not b:
+            continue
+        inner = heis_act(sig, x, n - s, state_element(st))
+        for st2, c2 in inner.terms.items():
+            accumulate(data, _word_state(sig, tail, m + s, st2), -b * c2 if not s & 1 else b * c2)
+
+    return FockElement(data)
+
+
 def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> FockElement:
     """General bilinear product x [n] y of Fock elements."""
     data = {}
     for s1, c1 in x.terms.items():
-        cw = _state_word(s1)
+        sw = _state_word(s1)
         for s2, c2 in y.terms.items():
-            accumulate(data, _word_state(sig, cw, n, s2), c1 * c2)
+            accumulate(data, _word_state(sig, sw, n, s2), c1 * c2)
     return FockElement(data)
 
 

@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive between tokens):
 
-    element  := term { ('+'|'-') term }
+    element  := [ '+'|'-' ] term { ('+'|'-') term }
     term     := [ rational '*' ] monomial
     rational := integer [ '/' posinteger ]
     monomial := 'vac'
@@ -153,13 +153,14 @@ class _Parser:
         return coeff, self.monomial()
 
     def element(self):
-        terms = [self.term()]
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            op = self.next()
+        terms = []
+        op = self.next()[0] if self.peek()[0] in ("PLUS", "MINUS") else "PLUS"
+        while True:
             coeff, mono = self.term()
-            if op[0] == "MINUS":
-                coeff = -coeff
-            terms.append((coeff, mono))
+            terms.append((-coeff if op == "MINUS" else coeff, mono))
+            if self.peek()[0] not in ("PLUS", "MINUS"):
+                break
+            op = self.next()[0]
         self.expect("EOF", "end of input")
         return terms
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
@@ -33,6 +34,7 @@ from vertexalg.words import FreeElement, word_deg2, word_weight
 from conftest import ALL_SIGS, SIG_FERM, SIG_FREE2, SIG_NEG, components, random_short_word, seeded
 
 ODD2 = make_signature(["a", "b"], [[-1, 0], [0, -1]])  # two odd generators, (a|b) = 0
+A2 = make_signature(["a", "b"], [[-2, 1], [1, -2]])  # N = -Gram of the A2 root lattice
 
 
 def test_cocycle_examples():
@@ -272,3 +274,101 @@ def test_format_state(ferm):
     assert format_state(ferm, (st_[0], (2,))) == "a(-2)a(-1) v[2a]"
     assert format_state(ferm, ((), (0,))) == "v[0]"
     assert format_fock(ferm, fock.FOCK_ZERO) == "0"
+
+
+# --- test-only oracles: the step-by-step recursions the closed forms replace --
+
+
+def _oracle_vacuum_product(sig, alpha, n, beta):
+    """eps(a,b) (D - b(-1))^(k) v_{a+b}, k = -(a|b)-n-1, one translation at a time."""
+    k = -pairing(sig, alpha, beta) - n - 1
+    if k < 0:
+        return fock.FOCK_ZERO
+    cur = vacuum_element(sig, weight_add(alpha, beta))
+    for _ in range(k):
+        cur = translate(sig, cur) - charge_act(sig, beta, -1, cur)
+    return cur.scale(Fraction(cocycle(sig, alpha, beta), factorial(k)))
+
+
+def _oracle_charged_state(sig, alpha, n, st_):
+    """v_a [n] st by stripping creation letters off the right factor:
+    v_a [n] (c(-k) y) = c(-k) (v_a [n] y) - (a|c) v_a [n-k] y."""
+    heis, charge = st_
+    if not heis:
+        return _oracle_vacuum_product(sig, alpha, n, charge)
+    k, g = heis[0]
+    rest = (heis[1:], charge)
+    out = heis_act(sig, g, -k, _oracle_charged_state(sig, alpha, n, rest))
+    f = pairing(sig, alpha, sig.unit_weight(g))
+    if f:
+        out = out - _oracle_charged_state(sig, alpha, n - k, rest).scale(f)
+    return out
+
+
+def _random_state(sig, rng, max_letters=3, max_level=3):
+    heis = tuple(
+        sorted((rng.randint(1, max_level), rng.randrange(sig.size)) for _ in range(rng.randint(0, max_letters)))
+    )
+    return heis, tuple(rng.randint(-2, 2) for _ in range(sig.size))
+
+
+def _out_degree(sig, cw, m, st_):
+    """Heisenberg degree of (charged word cw) [m] st; the product is 0 below 0."""
+    heis, beta = st_
+    d = sum(k for k, _ in heis) - m - 1
+    for i, (a, n) in enumerate(cw):
+        d -= n + 1 + pairing(sig, a, beta) + sum(pairing(sig, a, b) for b, _ in cw[i + 1 :])
+    return d
+
+
+ORACLE_SIGS = (SIG_FERM, SIG_FREE2, SIG_NEG, A2)
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_charged_kernel_against_recursion(sig):
+    rng = seeded(31)
+    done = 0
+    while done < 60:
+        st_ = _random_state(sig, rng)
+        alpha = tuple(rng.randint(-2, 2) for _ in range(sig.size))
+        n = rng.randint(-4, 3)
+        if _out_degree(sig, ((alpha, -1),), n, st_) > 6:
+            continue
+        done += 1
+        x = fock.state_element(st_)
+        assert product_charged(sig, alpha, n, x) == _oracle_charged_state(sig, alpha, n, st_)
+        assert vacuum_product(sig, alpha, n, st_[1]) == _oracle_vacuum_product(sig, alpha, n, st_[1])
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_word_kernel_against_state_product(sig):
+    # the word kernel against product_state, which peels the Heisenberg
+    # letters of the left state and applies the single-letter kernel, on
+    # the left state built letter by letter
+    rng = seeded(32)
+    done = 0
+    while done < 40:
+        cw = tuple(
+            (tuple(rng.randint(-1, 1) for _ in range(sig.size)), rng.randint(-3, 1))
+            for _ in range(rng.randint(2, 3))
+        )
+        st_ = _random_state(sig, rng, max_letters=2)
+        m = rng.randint(-3, 2)
+        if _out_degree(sig, cw, m, st_) > 5:
+            continue
+        left = vacuum_element(sig)
+        for a, n in reversed(cw):
+            left = product_charged(sig, a, n, left)
+        y = fock.state_element(st_)
+        got = product_word(sig, cw, m, y)
+        done += not got.is_zero()
+        assert got == product_state(sig, left, m, y)
+
+
+def test_charged_product_on_long_state():
+    # a creation letter orthogonal to the charge is never contracted, so a
+    # state of 1500 letters is one term, without recursion
+    sig = make_signature(["a", "b"], [[-2, 0], [0, -2]])
+    x = FockElement({(((1, 0),) * 1500, (0, 0)): 1})
+    out = product_charged(sig, (0, 1), -1, x)
+    assert out == FockElement({(((1, 0),) * 1500, (0, 1)): 1})

@@ -42,6 +42,7 @@ def test_parse_element_with_coefficients():
     x = parse_element(SIG_FERM, "a(-3)vac - 3/2 * a(-3)vac + vac")
     assert x.terms[((0, -3),)] == Fraction(-1, 2)
     assert x.terms[()] == 1
+    assert parse_element(SIG_FERM, "-a(-3)vac + vac") == parse_element(SIG_FERM, "vac - a(-3)vac")
 
 
 def test_parse_nested_products():
@@ -186,6 +187,44 @@ def test_cli_dong_command(tmp_path, capsys):
     assert cli.run(["dong", str(cfg), "2"]) == 0
     out = capsys.readouterr().out
     assert "result: PASS" in out
+
+
+@pytest.fixture
+def free2_cfg(tmp_path):
+    path = tmp_path / "free2.cfg"
+    path.write_text('{"generators": ["a", "b"], "locality": [[2, 2], [2, 2]]}')
+    return str(path)
+
+
+def test_cli_positionals_with_leading_dash(free2_cfg, capsys):
+    from vertexalg.basis import dim_component
+    from vertexalg.words import product
+
+    assert cli.run(["dim", free2_cfg, "-a+2b", "0..6"]) == 0
+    want = ",".join(str(dim_component(SIG_FREE2, (-1, 2), d)) for d in range(7))
+    assert capsys.readouterr().out.strip() == want
+    assert cli.run(["basis", free2_cfg, "-a", "0"]) == 0
+    assert capsys.readouterr().out.strip() == ""
+    assert cli.run(["--format", "machine", "product", free2_cfg, "-a(-1)vac", "0", "b(-1)vac"]) == 0
+    left = parse_element(SIG_FREE2, "-a(-1)vac")
+    right = parse_element(SIG_FREE2, "b(-1)vac")
+    record = json.loads(capsys.readouterr().out)
+    assert record["result"] == format_element(SIG_FREE2, product(SIG_FREE2, left, 0, right))
+    assert record["result"] != "0"
+
+
+def test_cli_non_integer_params(free2_cfg, capsys):
+    cases = (
+        (["verify", "dong", free2_cfg, "x"], "k_max must be an integer, got 'x'"),
+        (["dong", free2_cfg, "1.5"], "k_max must be an integer, got '1.5'"),
+        (["verify", "locfun", free2_cfg, "2", "y"], "length must be an integer, got 'y'"),
+        (["verify", "boson-fermion", "z"], "k_max must be an integer, got 'z'"),
+        (["verify", "boson-fermion", "2", "w"], "d_max must be an integer, got 'w'"),
+        (["dim", free2_cfg, "a", "0..x"], "deg2 must be an integer, got 'x'"),
+    )
+    for argv, message in cases:
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err.strip() == f"validation error: {message}"
 
 
 def test_cli_presentation_lattice_config(tmp_path, capsys):
