@@ -32,17 +32,23 @@ def _load(path: str) -> Signature:
         raise SignatureError(f"cannot read configuration {path!r}: {exc}") from None
 
 
-def _int_param(name: str, text: str) -> int:
+def _int_param(name: str, text: str, least: int = None) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise SignatureError(f"{name} must be an integer, got {text!r}") from None
+    if least is not None and value < least:
+        raise SignatureError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _deg2_range(text: str):
     lo, dots, hi = text.partition("..")
     lo = _int_param("deg2", lo)
-    return range(lo, (_int_param("deg2", hi) if dots else lo) + 1)
+    hi = _int_param("deg2", hi) if dots else lo
+    if hi < lo:
+        raise SignatureError(f"deg2 range {text!r} is empty")
+    return range(lo, hi + 1)
 
 
 def _emit(args, payload: dict, text: str):
@@ -151,13 +157,13 @@ def _cmd_verify(args) -> int:
         if not args.params:
             raise SignatureError("verify dong needs a configuration file")
         sig = _load(args.params[0])
-        k_max = _int_param("k_max", args.params[1]) if len(args.params) > 1 else 4
+        k_max = _int_param("k_max", args.params[1], 0) if len(args.params) > 1 else 4
         return _emit_report(args, verify_dong(sig, k_max))
     if suite == "locfun":
         if not args.params:
             raise SignatureError("verify locfun needs a configuration file")
         sig = _load(args.params[0])
-        lengths = tuple(_int_param("length", p) for p in args.params[1:]) or (2, 3, 4)
+        lengths = tuple(_int_param("length", p, 1) for p in args.params[1:]) or (2, 3, 4)
         return _emit_report(args, verify_locfun(sig, lengths))
     if suite == "presentation":
         if not args.params:
@@ -165,8 +171,8 @@ def _cmd_verify(args) -> int:
         sig = _load(args.params[0])
         return _emit_report(args, verify_presentation(sig))
     if suite == "boson-fermion":
-        k_max = _int_param("k_max", args.params[0]) if args.params else 4
-        d_max = _int_param("d_max", args.params[1]) if len(args.params) > 1 else 6
+        k_max = _int_param("k_max", args.params[0], 1) if args.params else 4
+        d_max = _int_param("d_max", args.params[1], 0) if len(args.params) > 1 else 6
         return _emit_report(args, verify_boson_fermion(k_max, d_max))
     raise SignatureError(
         f"unknown suite {suite!r} (dong, locfun, presentation, boson-fermion)"

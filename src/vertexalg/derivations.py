@@ -2,10 +2,18 @@
 generators.
 
 A derivation is stored as its finite list of generator actions (mode s >= 0,
-value).  Application to a word recurses through the Leibniz-type identity
+value).  The Leibniz-type identity
 
     alpha(m)(a [n] b) = a [n] (alpha(m) b)
-                        + sum_{s>=0} C(m,s) (alpha(s) a) [m+n-s] b.
+                        + sum_{s>=0} C(m,s) (alpha(s) a) [m+n-s] b
+
+unrolls on a word l1...lk vac, l_i = a_i(n_i), into one pass over its letters:
+
+    alpha(m) w = sum_i l1...l(i-1) sum_{s>=0} C(m,s) (alpha(s) a_i) [m+n_i-s] (l(i+1)...lk vac).
+
+Null words (a tail below its degree floor, see `rewrite.is_null_word`) are
+dropped from the value, so it does not depend on which terms the degree
+floor of the inner products happened to truncate.
 
 All derivations here are even and weight-homogeneous of weight zero, so no
 Koszul signs appear.
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .rewrite import is_null_word
 from .signature import Signature
 from .words import FreeElement, ZERO, binomial, product, word_element
 
@@ -25,7 +34,6 @@ class DerivationSpec:
 
     actions: tuple  # tuple over generators of tuple[(mode, FreeElement), ...]
     locality: int   # uniform bound: alpha(s) B = 0 for s >= locality
-    diagonal: tuple = None  # scalars f(b) when the spec is alpha_f-shaped
 
     def action(self, g: int, s: int) -> FreeElement:
         for mode, value in self.actions[g]:
@@ -43,7 +51,7 @@ def heisenberg_derivation(sig: Signature, f) -> DerivationSpec:
             actions.append(((0, word_element(((g, -1),)).scale(f[g])),))
         else:
             actions.append(())
-    return DerivationSpec(tuple(actions), 1, f)
+    return DerivationSpec(tuple(actions), 1)
 
 
 def virasoro_derivation(sig: Signature, f) -> DerivationSpec:
@@ -58,48 +66,19 @@ def virasoro_derivation(sig: Signature, f) -> DerivationSpec:
     return DerivationSpec(tuple(actions), 2)
 
 
-def _apply_word(sig: Signature, spec: DerivationSpec, m: int, w) -> FreeElement:
-    if not w:
-        return ZERO
-    if spec.diagonal is not None:
-        # alpha_f acts letterwise: a(n) -> f(a) a(n+m)
-        data = {}
-        for i, (g, n) in enumerate(w):
-            c = spec.diagonal[g]
-            if not c:
-                continue
-            w2 = w[:i] + ((g, n + m),) + w[i + 1 :]
-            if not w2 or w2[-1][1] < 0:
-                data[w2] = data.get(w2, 0) + c
-        return FreeElement(data)
-    (a, n), tail = w[0], w[1:]
-    tail_elem = FreeElement({tail: 1})
-    out = ZERO
-    # a [n] (alpha(m) tail): prepend the letter to each word of the inner value
-    inner = _apply_word(sig, spec, m, tail)
-    if not inner.is_zero():
-        data = {}
-        for w2, c in inner.terms.items():
-            if not w2 and n >= 0:
-                continue
-            data[((a, n),) + w2] = c
-        out = out + FreeElement(data)
-    for s in range(0, min(m, spec.locality - 1) + 1):
-        b = binomial(m, s)
-        if not b:
-            continue
-        value = spec.action(a, s)
-        if value.is_zero():
-            continue
-        out = out + product(sig, value, m + n - s, tail_elem).scale(b)
-    return out
-
-
 def apply_derivation(sig: Signature, spec: DerivationSpec, m: int, x: FreeElement) -> FreeElement:
     """Apply the mode-m coefficient of the derivation, m >= 0."""
     if m < 0:
         raise ValueError("conformal derivations have nonnegative modes only")
-    out = ZERO
+    data = {}
     for w, c in x.terms.items():
-        out = out + _apply_word(sig, spec, m, w).scale(c)
-    return out
+        for i, (a, n) in enumerate(w):
+            head, tail = w[:i], word_element(w[i + 1 :])
+            for s in range(min(m, spec.locality - 1) + 1):
+                value = spec.action(a, s)
+                if value.is_zero():
+                    continue
+                for w2, c2 in product(sig, value, m + n - s, tail).terms.items():
+                    key = head + w2
+                    data[key] = data.get(key, 0) + binomial(m, s) * c * c2
+    return FreeElement({w: c for w, c in data.items() if not is_null_word(sig, w)})

@@ -8,9 +8,11 @@ each creation letter h(-k) of the right state to a power of z.  One kernel
 applies a single v_a [n] to a state (vacuum products, the embedding of the
 free algebra letter by letter); a second applies the image of a whole
 charged word a1(n1)...ak(nk) vac at once.  Both work over the integers and
-end with one exact division.  The general product of two states peels the
-Heisenberg letters of the left state through the associativity identity,
-truncated by the degree floor, and ends in the single-letter kernel.
+end with one exact division.  The general product of two states reads the
+vertex operator of the left state h1(-k1)...hp(-kp) v_a as the normally
+ordered product of the derivatives of its Heisenberg fields with Y(v_a, z):
+each letter is created, or contracts with the right state, in one loop, and
+the rest goes through the single-letter kernel.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -27,7 +29,6 @@ from .signature import (
     Signature,
     Weight,
     format_weight,
-    min_deg2,
     pairing,
     weight_add,
 )
@@ -127,18 +128,24 @@ def charge_act(sig: Signature, lam: Weight, n: int, x: FockElement) -> FockEleme
     return FockElement(data)
 
 
-def translate(sig: Signature, x: FockElement) -> FockElement:
-    """Translation operator D: D v_lam = lam(-1) v_lam, [D, h(-k)] = k h(-k-1)."""
-    data = {}
-    for (heis, charge), c in x.terms.items():
-        for g, mult in enumerate(charge):
-            if mult:
-                st = (_insert(heis, (1, g)), charge)
-                data[st] = data.get(st, 0) + mult * c
-        for i, (k, g) in enumerate(heis):
-            st = (_insert(heis[:i] + heis[i + 1 :], (k + 1, g)), charge)
-            data[st] = data.get(st, 0) + k * c
-    return FockElement(data)
+def translate(sig: Signature, x: FockElement, k: int = 1) -> FockElement:
+    """Divided power D^(k) of the translation D v_lam = lam(-1) v_lam, [D, h(-j)] = j h(-j-1)."""
+    if k < 0:
+        raise ValueError("negative divided power")
+    for _ in range(k):
+        data = {}
+        for (heis, charge), c in x.terms.items():
+            for g, mult in enumerate(charge):
+                if mult:
+                    st = (_insert(heis, (1, g)), charge)
+                    data[st] = data.get(st, 0) + mult * c
+            for i, (j, g) in enumerate(heis):
+                st = (_insert(heis[:i] + heis[i + 1 :], (j + 1, g)), charge)
+                data[st] = data.get(st, 0) + j * c
+        x = FockElement(data)
+    if k > 1:
+        x = x.scale(Fraction(1, factorial(k)))
+    return x
 
 
 # --- vertex operators of charged vacua, in closed form ------------------------
@@ -468,67 +475,69 @@ def embed(sig: Signature, x: FreeElement) -> FockElement:
 
 # --- general products of states ------------------------------------------------
 
-# The state h1(-k1)...hm(-km) v_charge is the right-normed word
-# h1(-k1)...hm(-km) v_charge(-1) whose letters are the Heisenberg vectors
-# h(-1)vac, written as generator indices h, and the charged vacuum v_charge.
 
+def _state_kernel(sig: Signature, u: State, m: int, st: State) -> FockElement:
+    """u [m] st for two states, in closed form (Frenkel-Lepowsky-Meurman; Kac).
 
-def _state_word(st: State) -> tuple:
-    heis, charge = st
-    return tuple((g, -k) for k, g in heis) + ((charge, -1),)
-
-
-@cache
-def _word_state(sig: Signature, sw: tuple, m: int, st: State) -> FockElement:
-    """Product (state word sw) [m] state.
-
-    The Heisenberg letters g(-k) at the head are peeled off through the
-    associativity identity, both of whose sums are truncated by the degree
-    floor; the last letter v_charge(-1) vac = v_charge acts in closed form.
+    Y(h1(-k1)...hp(-kp) v_alpha, w) = :d^(k1-1)h1(w) ... d^(kp-1)hp(w) Y(v_alpha, w):
+    with d^(k-1)h(w) = sum_n C(-n-1, k-1) h(n) w^{-n-k}.  Each letter h(-k) is,
+    in turn, created as h(-j), j >= k, with C(j-1, k-1) and power j-k of w; or
+    its h(0) gives (-1)^(k-1) (h|beta), power -k; or its h(n), n >= 1, removes
+    a letter h'(-n) of st with C(-n-1, k-1) n (h|h') times that letter's
+    multiplicity, power -n-k.  The rest of st goes through the single-letter
+    kernel at mode m plus the total power.  The created levels are capped so
+    that its degree can stay >= 0 after the lowest power later letters give.
     """
-    x, n = sw[0]
-    tail = sw[1:]
-    if not tail:
-        return _letter_kernel(sig, x, m, st)
-    # x is a generator index: the vector x(-1)vac has weight 0 and doubled degree 2
-    mu = st[1]
-    d2s = d2t = state_deg2(sig, st)
-    for y, k in tail:
-        if isinstance(y, int):
-            d2t += -2 * k
-        else:
-            mu = weight_add(mu, y)
-            d2t += pairing(sig, y, y) - 2 * k - 2
-    if -2 * n + d2t - 2 * m - 2 < min_deg2(sig, mu):
-        return FOCK_ZERO
+    uheis, alpha = u
+    heis, beta = st
+    hb = [-sum(b * n for b, n in zip(beta, row)) for row in sig.locality]  # (h|beta)
+    acts = [f or any(row[g] for _, g in heis) for f, row in zip(hb, sig.locality)]  # h(n), n >= 0, on st
+    level = sum(k for k, _ in uheis) + sum(k for k, _ in heis)
+    # the largest level the created letters may reach; it grows by k with each letter that can only be created
+    cap = -m - 1 - pairing(sig, alpha, beta) + level - sum(k for k, h in uheis if not acts[h])
+    out = {((), 0, heis): 1}  # (created letters, their level, rest of st) -> coefficient
+    for k, h in uheis:
+        cap += 0 if acts[h] else k
+        nxt = {}
+        for (created, cdeg, rest), c in out.items():
+            for j in range(k, cap - cdeg + 1):
+                key = (_insert(created, (j, h)), cdeg + j, rest)
+                nxt[key] = nxt.get(key, 0) + c * binomial(j - 1, k - 1)
+            if hb[h]:
+                key = (created, cdeg, rest)
+                nxt[key] = nxt.get(key, 0) + (-c if k & 1 == 0 else c) * hb[h]
+            for idx, letter in enumerate(rest if acts[h] else ()):
+                n, g = letter
+                f = sig.gram(h, g)
+                if f and (not idx or rest[idx - 1] != letter):
+                    key = (created, cdeg, rest[:idx] + rest[idx + 1 :])
+                    f *= binomial(-n - 1, k - 1) * n * rest.count(letter)
+                    nxt[key] = nxt.get(key, 0) + c * f
+        out = nxt
+    # the created letters sharing a mode and a rest share one kernel value
+    groups = {}
+    for (created, cdeg, rest), c in out.items():
+        if c:
+            n = m + cdeg - level + sum(k for k, _ in rest)
+            groups.setdefault((n, rest), {})[created] = c
+    kernels = [(row, _letter_kernel(sig, alpha, n, (rest, beta)).terms) for (n, rest), row in groups.items()]
+    denom = lcm(*(t.denominator for _, terms in kernels for t in terms.values()))
     data = {}
-
-    # first sum: x [n-s] (tail [m+s] state), s >= 0
-    for s in range((d2t - 2 * m - 2 - min_deg2(sig, mu)) // 2 + 1):
-        b = binomial(n, s)
-        inner = _word_state(sig, tail, m + s, st)
-        if b and inner:
-            accumulate(data, heis_act(sig, x, n - s, inner), -b if s & 1 else b)
-
-    # second sum: tail [m+s] (x [n-s] state), s <= n
-    for s in range((min_deg2(sig, st[1]) - 2 - d2s) // 2 + n + 1, n + 1):
-        b = binomial(n, n - s)
-        if not b:
-            continue
-        inner = heis_act(sig, x, n - s, state_element(st))
-        for st2, c2 in inner.terms.items():
-            accumulate(data, _word_state(sig, tail, m + s, st2), -b * c2 if not s & 1 else b * c2)
-
-    return FockElement(data)
+    for row, terms in kernels:
+        for (kept, mu), t in terms.items():
+            t = t.numerator * (denom // t.denominator)
+            for created, c in row.items():
+                key = (_merge(kept, created), mu)
+                data[key] = data.get(key, 0) + c * t
+    return _divide(data, denom)
 
 
 def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> FockElement:
     """General bilinear product x [n] y of Fock elements."""
     data = {}
     for s1, c1 in x.terms.items():
-        sw = _state_word(s1)
         for s2, c2 in y.terms.items():
-            accumulate(data, _word_state(sig, sw, n, s2), c1 * c2)
+            accumulate(data, _state_kernel(sig, s1, n, s2), c1 * c2)
     return FockElement(data)
 
 

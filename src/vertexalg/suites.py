@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from . import fock
 from .basis import basis_words, dim_component
@@ -482,15 +481,6 @@ def _p_elem(sig, m: int):
     return fock.vacuum_product(sig, (-1,), -m - 1, (1,))
 
 
-def _fock_dpow(sig, x, k: int):
-    cur = x
-    for _ in range(k):
-        cur = fock.translate(sig, cur)
-    if k > 1:
-        cur = cur.scale(Fraction(1, factorial(k)))
-    return cur
-
-
 def verify_boson_fermion(k_max: int = 4, d_max: int = 6) -> SuiteReport:
     """Boson-fermion checks in the rank-one odd lattice algebra."""
     sig = FERMION_SIG
@@ -529,7 +519,7 @@ def verify_boson_fermion(k_max: int = 4, d_max: int = 6) -> SuiteReport:
                     coeff = binomial(jdx, n)
                     if (k + s) & 1:
                         coeff = -coeff
-                    rhs = rhs - _fock_dpow(sig, _p_elem(sig, jdx), s).scale(coeff)
+                    rhs = rhs - fock.translate(sig, _p_elem(sig, jdx), s).scale(coeff)
                 if k == m + n + 1:
                     rhs = rhs + vac.scale(-1 if m & 1 else 1)
                 cid = f"p{m} [k={k}] p{n}"
@@ -551,7 +541,7 @@ def verify_boson_fermion(k_max: int = 4, d_max: int = 6) -> SuiteReport:
         for n in range(0, m + 3):
             lhs = fock.product_word(sig, _p_word(m), n, v1)
             if n <= m:
-                rhs = _fock_dpow(sig, v1, m - n).scale(_flp_sign(m))
+                rhs = fock.translate(sig, v1, m - n).scale(_flp_sign(m))
             else:
                 rhs = fock.FOCK_ZERO
             report.add(

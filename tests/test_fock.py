@@ -29,7 +29,7 @@ from vertexalg.fock import (
     vacuum_product,
 )
 from vertexalg.basis import basis_words, minimal_word
-from vertexalg.words import FreeElement, word_deg2, word_weight
+from vertexalg.words import FreeElement, binomial, word_deg2, word_weight
 
 from conftest import ALL_SIGS, SIG_FERM, SIG_FREE2, SIG_NEG, components, random_short_word, seeded
 
@@ -305,6 +305,50 @@ def _oracle_charged_state(sig, alpha, n, st_):
     return out
 
 
+def _oracle_state_product(sig, u, m, st_):
+    """u [m] st by peeling the Heisenberg letters x(n), n = -k, off u through
+    the associativity identity, one recursion level per letter, down to the
+    charged vacuum, which acts through the single-letter kernel:
+    (x(n) t) [m] y = sum_s (-1)^s C(n,s) (x(n-s) (t [m+s] y) - (-1)^n t [m+n-s] (x(s) y)),
+    both sums truncated by the degree floor."""
+    heis, charge = u
+    return _oracle_word_state(sig, tuple((g, -k) for k, g in heis) + ((charge, -1),), m, st_)
+
+
+def _oracle_word_state(sig, sw, m, st_):
+    x, n = sw[0]
+    tail = sw[1:]
+    if not tail:
+        return fock._letter_kernel(sig, x, m, st_)
+    # x is a generator index: the vector x(-1)vac has weight 0 and doubled degree 2
+    mu = st_[1]
+    d2s = d2t = state_deg2(sig, st_)
+    for y, k in tail:
+        if isinstance(y, int):
+            d2t += -2 * k
+        else:
+            mu = weight_add(mu, y)
+            d2t += pairing(sig, y, y) - 2 * k - 2
+    if -2 * n + d2t - 2 * m - 2 < min_deg2(sig, mu):
+        return fock.FOCK_ZERO
+    out = fock.FOCK_ZERO
+    # first sum: x [n-s] (tail [m+s] state), s >= 0
+    for s in range((d2t - 2 * m - 2 - min_deg2(sig, mu)) // 2 + 1):
+        b = binomial(n, s)
+        inner = _oracle_word_state(sig, tail, m + s, st_)
+        if b and inner:
+            out = out + heis_act(sig, x, n - s, inner).scale(-b if s & 1 else b)
+    # second sum: tail [m+s] (x [n-s] state), s <= n
+    for s in range((min_deg2(sig, st_[1]) - 2 - d2s) // 2 + n + 1, n + 1):
+        b = binomial(n, n - s)
+        if not b:
+            continue
+        inner = heis_act(sig, x, n - s, fock.state_element(st_))
+        for st2, c2 in inner.terms.items():
+            out = out + _oracle_word_state(sig, tail, m + s, st2).scale(-b * c2 if not s & 1 else b * c2)
+    return out
+
+
 def _random_state(sig, rng, max_letters=3, max_level=3):
     heis = tuple(
         sorted((rng.randint(1, max_level), rng.randrange(sig.size)) for _ in range(rng.randint(0, max_letters)))
@@ -342,9 +386,8 @@ def test_charged_kernel_against_recursion(sig):
 
 @pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
 def test_word_kernel_against_state_product(sig):
-    # the word kernel against product_state, which peels the Heisenberg
-    # letters of the left state and applies the single-letter kernel, on
-    # the left state built letter by letter
+    # the word kernel against product_state, the closed form of the general
+    # product, on the left state built letter by letter
     rng = seeded(32)
     done = 0
     while done < 40:
@@ -365,6 +408,23 @@ def test_word_kernel_against_state_product(sig):
         assert got == product_state(sig, left, m, y)
 
 
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_state_kernel_against_recursion(sig):
+    rng = seeded(33)
+    done = nonzero = 0
+    while done < 150:
+        u, st_ = _random_state(sig, rng), _random_state(sig, rng)
+        m = rng.randint(-4, 3)
+        level = sum(k for k, _ in u[0]) + _out_degree(sig, ((u[1], -1),), m, st_)
+        if level > 6:
+            continue
+        done += 1
+        got = product_state(sig, fock.state_element(u), m, fock.state_element(st_))
+        nonzero += not got.is_zero()
+        assert got == _oracle_state_product(sig, u, m, st_)
+    assert nonzero >= 80  # 83-121 of the 150 products are nonzero
+
+
 def test_charged_product_on_long_state():
     # a creation letter orthogonal to the charge is never contracted, so a
     # state of 1500 letters is one term, without recursion
@@ -372,3 +432,12 @@ def test_charged_product_on_long_state():
     x = FockElement({(((1, 0),) * 1500, (0, 0)): 1})
     out = product_charged(sig, (0, 1), -1, x)
     assert out == FockElement({(((1, 0),) * 1500, (0, 1)): 1})
+
+
+def test_state_product_on_long_left_state():
+    # a left state of 1200 letters, none of which the right state contracts,
+    # creates its letters as they are: one term, without recursion
+    sig = make_signature(["a", "b"], [[-2, 0], [0, -2]])
+    u = FockElement({(((1, 0),) * 1200, (0, 0)): 1})
+    out = product_state(sig, u, -1, vacuum_element(sig, (0, 1)))
+    assert out == FockElement({(((1, 0),) * 1200, (0, 1)): 1})

@@ -227,6 +227,24 @@ def test_cli_non_integer_params(free2_cfg, capsys):
         assert capsys.readouterr().err.strip() == f"validation error: {message}"
 
 
+def test_cli_out_of_range_params(free2_cfg, capsys):
+    cases = (
+        (["verify", "locfun", free2_cfg, "0"], "length must be at least 1, got 0"),
+        (["verify", "locfun", free2_cfg, "2", "-1"], "length must be at least 1, got -1"),
+        (["verify", "dong", free2_cfg, "-1"], "k_max must be at least 0, got -1"),
+        (["dong", free2_cfg, "-3"], "k_max must be at least 0, got -3"),
+        (["verify", "boson-fermion", "0"], "k_max must be at least 1, got 0"),
+        (["verify", "boson-fermion", "-1", "-1"], "k_max must be at least 1, got -1"),
+        (["verify", "boson-fermion", "2", "-1"], "d_max must be at least 0, got -1"),
+        (["dim", free2_cfg, "a", "5..2"], "deg2 range '5..2' is empty"),
+    )
+    for argv, message in cases:
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"validation error: {message}"
+
+
 def test_cli_presentation_lattice_config(tmp_path, capsys):
     cfg = tmp_path / "z.cfg"
     cfg.write_text('{"generators": ["a"], "gram": [[1]]}')
