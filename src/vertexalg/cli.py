@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (all checks pass), 1 expression parse error,
-2 configuration or validation error, 3 suite failure.
+2 configuration or validation error, 3 suite failure, 4 resource limit
+(the rewriting step budget or the recursion limit) reached.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from . import fock
 from .basis import basis_words, dim_component
 from .parser import ParseError, parse_element, parse_weight
-from .rewrite import normal_form
+from .rewrite import StepBudgetExceeded, normal_form
 from .signature import Signature, SignatureError, format_weight, load_config
 from .suites import verify_boson_fermion, verify_dong, verify_locfun, verify_presentation
 from .words import format_element, format_word, product
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_SUITE = 3
+EXIT_RESOURCE = 4
 
 
 def _load(path: str) -> Signature:
@@ -267,6 +269,9 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (StepBudgetExceeded, RecursionError) as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def main():

@@ -7,12 +7,17 @@ Schur polynomials S_e(a) in the creation operators a(-j), and E^+ contracts
 each creation letter h(-k) of the right state to a power of z.  One kernel
 applies a single v_a [n] to a state (vacuum products, the embedding of the
 free algebra letter by letter); a second applies the image of a whole
-charged word a1(n1)...ak(nk) vac at once.  Both work over the integers and
-end with one exact division.  The general product of two states reads the
-vertex operator of the left state h1(-k1)...hp(-kp) v_a as the normally
-ordered product of the derivatives of its Heisenberg fields with Y(v_a, z):
-each letter is created, or contracts with the right state, in one loop, and
-the rest goes through the single-letter kernel.
+charged word a1(n1)...ak(nk) vac at once.  The general product of two
+states reads the vertex operator of the left state h1(-k1)...hp(-kp) v_a as
+the normally ordered product of the derivatives of its Heisenberg fields
+with Y(v_a, z): each letter is created, or contracts with the right state,
+in one loop, and the rest goes through the single-letter kernel.
+
+Every kernel value is a pair (numerators, denom): a dict from state to
+nonzero int over one nonzero int denominator, whose sign carries the
+cocycle.  A public product clears the denominators of its input once,
+combines kernel values over the lcm of their denominators in integers, and
+ends with one exact division.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .signature import (
     Signature,
@@ -53,6 +58,7 @@ class FockElement(Combination):
 
 
 FOCK_ZERO = FockElement()
+_ZERO = ({}, 1)  # the zero kernel value; kernel values are shared and never mutated
 
 
 def state_element(st: State) -> FockElement:
@@ -153,8 +159,8 @@ def translate(sig: Signature, x: FockElement, k: int = 1) -> FockElement:
 # Y(v_a, z) = eps e^a z^{a(0)} E^-(a, z) E^+(a, z) with
 # E^-(a, z) = exp(sum_j a(-j) z^j / j) = sum_e S_e(a) z^e, a Schur polynomial
 # in the creation operators a(-j), and E^+(a, z) contracting each creation
-# letter h(-k) of the right state to -(a|h) z^{-k}.  Coefficients are
-# integers until one exact division at the end.
+# letter h(-k) of the right state to -(a|h) z^{-k}.  The kernels return
+# integer numerators over one denominator.
 
 
 @cache
@@ -246,8 +252,39 @@ def _divide(data: dict, denom: int) -> FockElement:
     return FockElement(out)
 
 
+def _reduce(data: dict, denom: int) -> tuple:
+    """(numerators, denom) with the zero numerators dropped and the common factor divided out."""
+    g = gcd(denom, *data.values())
+    return {key: c // g for key, c in data.items() if c}, denom // g
+
+
+def _clear(x) -> tuple:
+    """The coefficients of a combination as integers over their lcm: (numerators, lcm)."""
+    denom = lcm(*(c.denominator for c in x.terms.values()))
+    return {key: c.numerator * (denom // c.denominator) for key, c in x.terms.items()}, denom
+
+
+def _combine(data: dict, den: int, kernel, scale: int = 1) -> tuple:
+    """sum_k data[k] * kernel(k) over den, in integers, for kernel values (numerators, d_k).
+
+    With L = lcm of the d_k, the value of k enters with the integer factor
+    scale * data[k] * (L // d_k), and the sum is over den * L.
+    """
+    values = [(c, kernel(key)) for key, c in data.items()]
+    if len(values) == 1 and scale * values[0][0] == 1:  # a single value passes as it is
+        nums, d = values[0][1]
+        return nums, den * d
+    big = lcm(*(d for _, (_, d) in values))
+    out = {}
+    for c, (nums, d) in values:
+        c *= scale * (big // d)
+        for key, t in nums.items():
+            out[key] = out.get(key, 0) + c * t
+    return out, den * big
+
+
 @cache
-def _letter_kernel(sig: Signature, alpha: Weight, n: int, st: State) -> FockElement:
+def _letter_kernel(sig: Signature, alpha: Weight, n: int, st: State) -> tuple:
     """v_alpha [n] st for a state st = h1(-k1)...hm(-km) v_beta, in closed form.
 
     eps(alpha,beta) sum_S prod_{l in S} (-(alpha|h_l)) S_{e_S}(alpha)
@@ -258,10 +295,10 @@ def _letter_kernel(sig: Signature, alpha: Weight, n: int, st: State) -> FockElem
     heis, beta = st
     degree = -n - 1 - pairing(sig, alpha, beta) + sum(k for k, _ in heis)
     if degree < 0:
-        return FOCK_ZERO
+        return _ZERO
     choices = _contractions(sig, (alpha,), heis, degree)
     if not choices:
-        return FOCK_ZERO
+        return _ZERO
     denom = factorial(degree - min(kdeg for _, kdeg, _, _ in choices))
     mu = weight_add(alpha, beta)
     data = {}
@@ -271,20 +308,17 @@ def _letter_kernel(sig: Signature, alpha: Weight, n: int, st: State) -> FockElem
         for mono, t in _schur(alpha, e):
             key = (_merge(kept, mono), mu)
             data[key] = data.get(key, 0) + c * t
-    return _divide(data, denom * cocycle(sig, alpha, beta))
+    return _reduce(data, denom * cocycle(sig, alpha, beta))
 
 
 def vacuum_product(sig: Signature, alpha: Weight, n: int, beta: Weight) -> FockElement:
     """Product of two charged vacua: eps(a,b) S_e(a) v_{a+b}, e = -n-1-(a|b)."""
-    return _letter_kernel(sig, alpha, n, ((), beta))
+    return _divide(*_letter_kernel(sig, alpha, n, ((), beta)))
 
 
 def product_charged(sig: Signature, alpha: Weight, n: int, x: FockElement) -> FockElement:
     """Product v_alpha [n] x, state by state through the closed form."""
-    data = {}
-    for st, c in x.terms.items():
-        accumulate(data, _letter_kernel(sig, alpha, n, st), c)
-    return FockElement(data)
+    return _divide(*_combine(*_clear(x), lambda st: _letter_kernel(sig, alpha, n, st)))
 
 
 def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
@@ -374,7 +408,7 @@ def _schur_product(factors: tuple) -> tuple:
 
 
 @cache
-def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
+def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> tuple:
     """(a1(n1)...ak(nk) vac) [m] st for a charged word of k >= 2 letters.
 
     The image of the word is Y(v_a1, w+z1)...Y(v_ak, w+zk) at the
@@ -393,7 +427,7 @@ def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
     b = [pairing(sig, a, beta) for a in alphas]
     degree = d0 - m - 1 - sum(b) + sum(level for level, _ in heis)
     if degree < 0 or not expansion:
-        return FOCK_ZERO
+        return _ZERO
     sigmas = _contractions(sig, alphas, heis, degree)
     weights = {}  # e -> kept -> integer weight
     for kept, kdeg, shifts, c in sigmas:
@@ -412,7 +446,7 @@ def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
                 row = weights.setdefault(es, {})
                 row[kept] = row.get(kept, 0) + c * w
     if not weights:
-        return FOCK_ZERO
+        return _ZERO
     denom = factorial(max(sum(es) for es in weights))
     mu = beta
     for alpha in alphas:
@@ -432,7 +466,7 @@ def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> FockElement:
             for mono, t in poly:
                 key = (_merge(kept, mono), mu)
                 data[key] = data.get(key, 0) + w * t
-    return _divide(data, denom * sign)
+    return _reduce(data, denom * sign)
 
 
 def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockElement:
@@ -450,33 +484,29 @@ def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockEleme
         c = binomial(m, j) if j >= 0 else 0
         if not c:
             return FOCK_ZERO
-        return product_charged(sig, alpha, m - j, x).scale(-c if j & 1 else c)
-    data = {}
-    for st, c in x.terms.items():
-        accumulate(data, _word_kernel(sig, cw, m, st), c)
-    return FockElement(data)
+        return _divide(*_combine(*_clear(x), lambda st: _letter_kernel(sig, alpha, m - j, st), -c if j & 1 else c))
+    return _divide(*_combine(*_clear(x), lambda st: _word_kernel(sig, cw, m, st)))
 
 
 @cache
-def _embed_word(sig: Signature, w: Word) -> FockElement:
-    out = vacuum_element(sig)
+def _embed_word(sig: Signature, w: Word) -> tuple:
+    """The image of a word as (numerators, denom), letter by letter, reduced after each letter."""
+    data, den = {vacuum_state(sig): 1}, 1
     for g, n in reversed(w):
-        out = product_charged(sig, sig.unit_weight(g), n, out)
-    return out
+        alpha = sig.unit_weight(g)
+        data, den = _reduce(*_combine(data, den, lambda st: _letter_kernel(sig, alpha, n, st)))
+    return data, den
 
 
 def embed(sig: Signature, x: FreeElement) -> FockElement:
     """Homomorphism from the free algebra sending each generator a to v_a."""
-    data = {}
-    for w, c in x.terms.items():
-        accumulate(data, _embed_word(sig, w), c)
-    return FockElement(data)
+    return _divide(*_combine(*_clear(x), lambda w: _embed_word(sig, w)))
 
 
 # --- general products of states ------------------------------------------------
 
 
-def _state_kernel(sig: Signature, u: State, m: int, st: State) -> FockElement:
+def _state_kernel(sig: Signature, u: State, m: int, st: State) -> tuple:
     """u [m] st for two states, in closed form (Frenkel-Lepowsky-Meurman; Kac).
 
     Y(h1(-k1)...hp(-kp) v_alpha, w) = :d^(k1-1)h1(w) ... d^(kp-1)hp(w) Y(v_alpha, w):
@@ -514,31 +544,25 @@ def _state_kernel(sig: Signature, u: State, m: int, st: State) -> FockElement:
                     f *= binomial(-n - 1, k - 1) * n * rest.count(letter)
                     nxt[key] = nxt.get(key, 0) + c * f
         out = nxt
-    # the created letters sharing a mode and a rest share one kernel value
-    groups = {}
+    data = {}
     for (created, cdeg, rest), c in out.items():
         if c:
-            n = m + cdeg - level + sum(k for k, _ in rest)
-            groups.setdefault((n, rest), {})[created] = c
-    kernels = [(row, _letter_kernel(sig, alpha, n, (rest, beta)).terms) for (n, rest), row in groups.items()]
-    denom = lcm(*(t.denominator for _, terms in kernels for t in terms.values()))
-    data = {}
-    for row, terms in kernels:
-        for (kept, mu), t in terms.items():
-            t = t.numerator * (denom // t.denominator)
-            for created, c in row.items():
-                key = (_merge(kept, created), mu)
-                data[key] = data.get(key, 0) + c * t
-    return _divide(data, denom)
+            data[created, m + cdeg - level + sum(k for k, _ in rest), rest] = c
+
+    def kernel(key):
+        created, n, rest = key
+        nums, d = _letter_kernel(sig, alpha, n, (rest, beta))
+        return {(_merge(kept, created), mu): t for (kept, mu), t in nums.items()}, d
+
+    return _combine(data, 1, kernel)
 
 
 def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> FockElement:
     """General bilinear product x [n] y of Fock elements."""
-    data = {}
-    for s1, c1 in x.terms.items():
-        for s2, c2 in y.terms.items():
-            accumulate(data, _state_kernel(sig, s1, n, s2), c1 * c2)
-    return FockElement(data)
+    dx, denx = _clear(x)
+    dy, deny = _clear(y)
+    data = {(s1, s2): c1 * c2 for s1, c1 in dx.items() for s2, c2 in dy.items()}
+    return _divide(*_combine(data, denx * deny, lambda key: _state_kernel(sig, key[0], n, key[1])))
 
 
 # --- exact rank --------------------------------------------------------------
@@ -557,11 +581,9 @@ def rank(elements) -> int:
     index = {st: i for i, st in enumerate(columns)}
     rows = []
     for x in elements:
-        denom = lcm(*(Fraction(c).denominator for c in x.terms.values()))
         row = [0] * len(columns)
-        for st, c in x.terms.items():
-            f = Fraction(c) * denom
-            row[index[st]] = f.numerator
+        for st, c in _clear(x)[0].items():
+            row[index[st]] = c
         rows.append(row)
     return _bareiss_rank(rows)
 

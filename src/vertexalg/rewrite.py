@@ -16,6 +16,10 @@ from .signature import Signature
 from .words import FreeElement, Word, accumulate, binomial
 
 
+class StepBudgetExceeded(RuntimeError):
+    """A normal form needed more fresh expansions than its step budget allows."""
+
+
 @dataclass
 class RewriteOutcome:
     result: FreeElement
@@ -207,7 +211,7 @@ def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard, bu
                 continue
             guard[0] += 1
             if guard[0] > budget:
-                raise RuntimeError("rewriting step budget exceeded (likely a bug)")
+                raise StepBudgetExceeded("rewriting step budget exceeded (likely a bug)")
             exp = expand_redex(sig, w, j)
             pending[w] = exp
             stack.extend(u for u in exp.terms if u not in cache)

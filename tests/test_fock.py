@@ -319,7 +319,7 @@ def _oracle_word_state(sig, sw, m, st_):
     x, n = sw[0]
     tail = sw[1:]
     if not tail:
-        return fock._letter_kernel(sig, x, m, st_)
+        return fock.product_charged(sig, x, m, fock.state_element(st_))
     # x is a generator index: the vector x(-1)vac has weight 0 and doubled degree 2
     mu = st_[1]
     d2s = d2t = state_deg2(sig, st_)
@@ -441,3 +441,65 @@ def test_state_product_on_long_left_state():
     u = FockElement({(((1, 0),) * 1200, (0, 0)): 1})
     out = product_state(sig, u, -1, vacuum_element(sig, (0, 1)))
     assert out == FockElement({(((1, 0),) * 1200, (0, 1)): 1})
+
+
+def _random_fraction(rng):
+    """A signed Fraction with denominator 1-6 before reduction."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 6))
+
+
+def _random_fock(sig, rng, nstates=3):
+    data = {}
+    while len(data) < nstates:
+        data[_random_state(sig, rng, max_letters=2)] = _random_fraction(rng)
+    return FockElement(data)
+
+
+def _fraction_sum(product, terms):
+    """sum c * product(key) over the terms, added up in plain Fraction arithmetic."""
+    data = {}
+    for key, c in terms.items():
+        for st_, t in product(key).terms.items():
+            data[st_] = data.get(st_, 0) + Fraction(c) * Fraction(t)
+    return FockElement(data)
+
+
+def _exact_types(x):
+    # an integral coefficient is an int, any other a Fraction in lowest terms
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in x.terms.values())
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_integer_accumulation_matches_fraction_sum(sig):
+    # every public product on an element of several states with Fraction
+    # coefficients equals the Fraction sum of its products on single states
+    rng = seeded(34)
+    units = [sig.unit_weight(g) for g in range(sig.size)]
+    signed = any(cocycle(sig, a, b) == -1 for a in units for b in units)
+    one = fock.state_element
+    done = minus = 0
+    while done < 25:
+        x = _random_fock(sig, rng)
+        alpha = tuple(rng.randint(-2, 2) for _ in range(sig.size))
+        n = rng.randint(-3, 2)
+        cw = ((alpha, rng.randint(-3, -1)), (tuple(rng.randint(-1, 1) for _ in range(sig.size)), rng.randint(-2, -1)))
+        if max(_out_degree(sig, w, n, st_) for st_ in x.terms for w in (cw, cw[:1])) > 5:
+            continue
+        done += 1
+        minus += sum(cocycle(sig, alpha, st_[1]) == -1 for st_ in x.terms)
+        checks = [
+            (product_charged(sig, alpha, n, x), lambda s: product_charged(sig, alpha, n, one(s)), x.terms),
+            (product_word(sig, cw[:1], n, x), lambda s: product_word(sig, cw[:1], n, one(s)), x.terms),
+            (product_word(sig, cw, n, x), lambda s: product_word(sig, cw, n, one(s)), x.terms),
+        ]
+        words = {random_short_word(sig, rng): _random_fraction(rng) for _ in range(3)}
+        checks.append((embed(sig, FreeElement(words)), lambda w: embed(sig, FreeElement({w: 1})), words))
+        u = _random_fock(sig, rng, nstates=2)
+        levels = [sum(k for k, _ in s1[0]) + _out_degree(sig, ((s1[1], -1),), n, s2) for s1 in u.terms for s2 in x.terms]
+        if max(levels) <= 6:
+            pairs = {(s1, s2): c1 * c2 for s1, c1 in u.terms.items() for s2, c2 in x.terms.items()}
+            checks.append((product_state(sig, u, n, x), lambda p: product_state(sig, one(p[0]), n, one(p[1])), pairs))
+        for got, product, terms in checks:
+            assert got == _fraction_sum(product, terms)
+            assert _exact_types(got)
+    assert minus > 0 or not signed  # cocycle -1 pairs occur wherever the lattice has them

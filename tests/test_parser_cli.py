@@ -11,6 +11,7 @@ import vertexalg
 from vertexalg import ParseError, parse_element, parse_expr, parse_weight
 from vertexalg.words import FreeElement, Gen, Prod, Vac, evaluate, format_element
 from vertexalg import cli
+from vertexalg.rewrite import StepBudgetExceeded
 
 from conftest import SIG_FERM, SIG_FREE2
 
@@ -129,6 +130,20 @@ def test_cli_validation_error_exit(tmp_path, capsys):
     bad.write_text('{"generators": ["a", "b"], "locality": [[2, 1], [3, 2]]}')
     assert cli.run(["basis", str(bad), "a", "0"]) == 2
     assert cli.run(["basis", str(tmp_path / "missing.cfg"), "a", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "exc", (StepBudgetExceeded("rewriting step budget exceeded"), RecursionError("maximum recursion depth exceeded"))
+)
+def test_cli_resource_limit_exit(ferm_cfg, capsys, monkeypatch, exc):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "normal_form", exhausted)
+    assert cli.run(["normal-form", ferm_cfg, "a(-1)a(-2)vac"]) == cli.EXIT_RESOURCE == 4
+    err = capsys.readouterr().err
+    assert err == f"resource limit: {exc}\n"
+    assert "Traceback" not in err
 
 
 def test_cli_machine_format(ferm_cfg, capsys):
