@@ -2,8 +2,10 @@
 
 Basic words of weight lam and doubled degree d2 are in bijection with
 partitions of (d2 - floor)/2 colored by the generators, with at most s_a
-parts of each color a.  The bijection reads off, letter by letter, how far
-each mode sits above the minimal-word mode.
+parts of each color a.  The bijection reads off, letter by letter, the
+excess of the letter over its minimal mode (`rewrite.excess`): a basic
+word's nonzero excesses are its parts, and its letters sit that far below
+the modes of the minimal word.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .signature import Signature, Weight, min_deg2
 from .words import Word
-from .rewrite import is_basic
+from .rewrite import excess, is_basic
 
 
 @dataclass(frozen=True)
@@ -50,29 +52,20 @@ def minimal_word(sig: Signature, lam: Weight) -> Word:
     return _word_for(sig, letters, [0] * len(letters))
 
 
-def _word_for(sig: Signature, letters, excess) -> Word:
-    """Word with given letter sequence whose modes sit `excess` above minimal."""
-    k = len(letters)
-    out = []
-    for i in range(k):
-        row = sig.locality[letters[i]]
-        m = sum(row[letters[j]] for j in range(i + 1, k)) - 1 - excess[i]
-        out.append((letters[i], m))
-    return tuple(out)
+def _word_for(sig: Signature, letters, parts) -> Word:
+    """Word with the given letters whose excesses are `parts`.
+
+    Each mode is the letter's excess at mode 0 minus its part.
+    """
+    zero = excess(sig, tuple((g, 0) for g in letters))
+    return tuple((g, z - p) for g, z, p in zip(letters, zero, parts))
 
 
 def word_to_partition(sig: Signature, w: Word) -> ColoredPartition:
-    """Colored partition of a basic word: per-letter excess over the minimal mode."""
+    """Colored partition of a basic word: its nonzero letter excesses, colored by generator."""
     if not is_basic(sig, w):
         raise ValueError("word is not basic")
-    k = len(w)
-    pairs = []
-    for i, (g, m) in enumerate(w):
-        row = sig.locality[g]
-        n = sum(row[w[j][0]] for j in range(i + 1, k)) - 1 - m
-        if n:
-            pairs.append((n, g))
-    return ColoredPartition(tuple(pairs))
+    return ColoredPartition(tuple((x, g) for (g, _), x in zip(w, excess(sig, w)) if x))
 
 
 def word_from_partition(sig: Signature, lam: Weight, pi: ColoredPartition) -> Word:
@@ -121,10 +114,9 @@ def basis_words(sig: Signature, lam: Weight, deg2: int):
     floor = min_deg2(sig, lam)
     if deg2 < floor or (deg2 - floor) & 1 or any(c < 0 for c in lam):
         return []
-    excess = (deg2 - floor) // 2
     out = [
         word_from_partition(sig, lam, ColoredPartition(pairs))
-        for pairs in colored_partitions(excess, lam)
+        for pairs in colored_partitions((deg2 - floor) // 2, lam)
     ]
     out.sort()
     return out

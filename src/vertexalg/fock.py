@@ -150,7 +150,8 @@ def translate(sig: Signature, x: FockElement, k: int = 1) -> FockElement:
                 data[st] = data.get(st, 0) + j * c
         x = FockElement(data)
     if k > 1:
-        x = x.scale(Fraction(1, factorial(k)))
+        data, denom = _clear(x)
+        x = _divide(data, denom * factorial(k))
     return x
 
 

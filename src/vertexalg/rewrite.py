@@ -1,16 +1,26 @@
 """Rewriting of words onto the basis of the free vertex algebra.
 
-Two families of rules act on words.  Degree rules send a word to zero as
-soon as some tail sits below its degree floor (the sharp vanishing bound).
-Locality rules resolve a "jump" between adjacent letters by the two-sum
-locality expansion; applied with degree rules taking priority, every word
-reduces to a combination of basic words, and the reduction terminates by the
-tail-defect measure.
+Every test reads one list, the excess of each letter a_i(n_i) over its
+minimal mode, e_i = sum_{l>i} N(a_i, a_l) - 1 - n_i, and its tail sums
+E_i = e_i + ... + e_(k-1).  The tail from letter i sits 2 E_i above the
+degree floor of its weight, so:
+
+- a word is null (zero in the algebra) iff some E_i < 0;
+- adjacent letters j, j+1 jump iff e_j < e_(j+1), or e_j = e_(j+1) and
+  a_j > a_(j+1) in generator order;
+- a word is basic iff e_(k-1) >= 0 and it has no jump, and then its
+  nonzero excesses, colored by generator, are its colored partition.
+
+Degree rules send null words to zero.  Locality rules resolve a jump by the
+two-sum locality expansion; applied with degree rules taking priority, every
+word reduces to a combination of basic words, and the reduction terminates
+by the tail-defect measure (E_i plus the tail length).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .signature import Signature
 from .words import FreeElement, Word, accumulate, binomial
@@ -27,161 +37,123 @@ class RewriteOutcome:
     q_kills: int
 
 
+def excess(sig: Signature, w: Word) -> list:
+    """Excess of each letter over its minimal mode, e_i = sum_{l>i} N(a_i, a_l) - 1 - n_i.
+
+    One right-to-left pass; every degree and locality test reads this list.
+    """
+    reach = [0] * sig.size  # reach[h] = sum of N(h, a_l) over the letters after i (N symmetric)
+    out = [0] * len(w)
+    for i in range(len(w) - 1, -1, -1):
+        g, n = w[i]
+        out[i] = reach[g] - 1 - n
+        reach = list(map(add, reach, sig.locality[g]))
+    return out
+
+
+def _tail_sums(e: list) -> list:
+    """E_i = e_i + ... + e_(k-1) for i = 0..k, so E_k = 0 is the empty tail."""
+    out = [0] * (len(e) + 1)
+    for i in range(len(e) - 1, -1, -1):
+        out[i] = out[i + 1] + e[i]
+    return out
+
+
+def _jumps(w: Word, e: list, j: int) -> bool:
+    """A jump between letters j and j+1: excess rises, or ties with the larger generator first."""
+    return e[j] < e[j + 1] or (e[j] == e[j + 1] and w[j][0] > w[j + 1][0])
+
+
 def is_null_word(sig: Signature, w: Word) -> bool:
     """True iff some tail of w has doubled degree below its weight's floor.
 
-    Equivalently: sum of tail modes >= sum of pairwise localities in the
-    tail minus tail length plus one.  Words with last mode >= 0 are always
-    null.
+    The tail from letter i sits 2 E_i above its floor, so the word is null
+    exactly when some tail sum of its excess is negative.  Words with last
+    mode >= 0 (last excess < 0) are always null.
     """
-    mode_sum = 0
-    pair_sum = 0
-    counts = [0] * sig.size
-    k = len(w)
-    for i in range(k - 1, -1, -1):
-        g, n = w[i]
-        row = sig.locality[g]
-        pair_sum += sum(c * row[h] for h, c in enumerate(counts) if c)
-        counts[g] += 1
-        mode_sum += n
-        if mode_sum >= pair_sum - (k - i) + 1:
+    tail = 0
+    for x in reversed(excess(sig, w)):
+        tail += x
+        if tail < 0:
             return True
     return False
 
 
-def _gap_bounds(sig: Signature, w: Word) -> list:
-    """m_j for each adjacent position j (0-based, j < k-1).
-
-    m_j = sum_{i>j} N(a_j, a_i) - sum_{i>j+1} N(a_{j+1}, a_i).
-    """
-    k = len(w)
-    suffix = [0] * sig.size  # letter counts strictly after position j+1
-    bounds = [0] * (k - 1)
-    for j in range(k - 2, -1, -1):
-        gj, gj1 = w[j][0], w[j + 1][0]
-        rowj, rowj1 = sig.locality[gj], sig.locality[gj1]
-        m = rowj[gj1]
-        for h in range(sig.size):
-            c = suffix[h]
-            if c:
-                m += c * (rowj[h] - rowj1[h])
-        bounds[j] = m
-        suffix[w[j + 1][0]] += 1
-    return bounds
+def _check_strategy(strategy: str) -> None:
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown rewriting strategy {strategy!r}; use 'leftmost' or 'rightmost'")
 
 
 def find_redex(sig: Signature, w: Word, strategy: str = "leftmost"):
-    """Position of the first adjacent jump, or None if the word has none."""
-    if len(w) < 2:
-        return None
-    bounds = _gap_bounds(sig, w)
-    positions = range(len(w) - 1) if strategy == "leftmost" else range(len(w) - 2, -1, -1)
-    for j in positions:
-        gap = w[j][1] - w[j + 1][1]
-        if gap > bounds[j] or (gap == bounds[j] and w[j][0] > w[j + 1][0]):
-            return j
-    return None
+    """Position of the first adjacent jump in the strategy's scan order, or None."""
+    _check_strategy(strategy)
+    e = excess(sig, w)
+    k = len(w)
+    positions = range(k - 1) if strategy == "leftmost" else range(k - 2, -1, -1)
+    return next((j for j in positions if _jumps(w, e, j)), None)
 
 
 def expand_redex(sig: Signature, w: Word, j: int) -> FreeElement:
     """Resolve the jump at position j via the locality expansion.
 
-    The s-ranges are truncated to the window where the resulting word is not
-    already null through its (j+1)-tail; every produced word is then
-    filtered through the degree rules.
+    Tails starting at or before j keep their letters and mode sum, and tails
+    after j+1 are unchanged, so an output word is null exactly when its
+    (j+1)-tail is.  The s-windows keep exactly the words where that tail is
+    not: E_(j+1) - s >= 0 for the keep-order terms and
+    E_(j+2) + e_j - N + s >= 0 for the swapped ones.  A null word at a redex
+    is null at some other tail too (e_j <= e_(j+1)), so it expands to zero.
     """
-    k = len(w)
-    (ga, na), (gb, nb) = w[j], w[j + 1]
-    bound = _gap_bounds(sig, w)[j]
-    if not (na - nb > bound or (na - nb == bound and ga > gb)):
+    e = excess(sig, w)
+    if not _jumps(w, e, j):
         raise ValueError("expand_redex called on a non-redex position")
+    tails = _tail_sums(e)
+    if min(tails) < 0:
+        return FreeElement()
+    (ga, na), (gb, nb) = w[j], w[j + 1]
     loc = sig.locality[ga][gb]
     koszul = -1 if sig.parity(ga) and sig.parity(gb) else 1
     prefix, suffix = w[:j], w[j + 2 :]
-    tail_modes = sum(n for _, n in w[j + 1 :])
-
-    def tail_cap(first_gen, rest):
-        # max allowed mode-sum of the tail (first_gen, rest): pairsum - len
-        counts = [0] * sig.size
-        for g, _ in rest:
-            counts[g] += 1
-        pair = sum(counts[h] * sig.locality[first_gen][h] for h in range(sig.size))
-        for i, (g, _) in enumerate(rest):
-            row = sig.locality[g]
-            for g2, _ in rest[i + 1 :]:
-                pair += row[g2]
-        return pair - (1 + len(rest))
-
     data = {}
 
     # keep-order terms a(na-s) b(nb+s), s >= 1
-    s_hi = tail_cap(gb, suffix) - tail_modes
-    if loc >= 0:
-        s_hi = min(s_hi, loc)
+    s_hi = tails[j + 1] if loc < 0 else min(tails[j + 1], loc)
     for s in range(1, s_hi + 1):
-        b = binomial(loc, s)
-        if not b:
-            continue
         u = prefix + ((ga, na - s), (gb, nb + s)) + suffix
-        if is_null_word(sig, u):
-            continue
-        c = b if s & 1 else -b
-        data[u] = data.get(u, 0) + c
+        b = binomial(loc, s)
+        data[u] = data.get(u, 0) + (b if s & 1 else -b)
 
     # swapped terms b(nb+s) a(na-s), s <= N
-    rest_modes = sum(n for _, n in suffix)
-    s_lo = na + rest_modes - tail_cap(ga, suffix)
+    s_lo = loc - e[j] - tails[j + 2]
     if loc >= 0:
         s_lo = max(s_lo, 0)
     for s in range(s_lo, loc + 1):
-        b = binomial(loc, loc - s)
-        if not b:
-            continue
         u = prefix + ((gb, nb + s), (ga, na - s)) + suffix
-        if is_null_word(sig, u):
-            continue
-        c = koszul * b if not s & 1 else -koszul * b
-        data[u] = data.get(u, 0) + c
+        b = koszul * binomial(loc, loc - s)
+        data[u] = data.get(u, 0) + (-b if s & 1 else b)
 
     return FreeElement(data)
 
 
 def is_basic(sig: Signature, w: Word) -> bool:
-    """Membership in the basis: last mode negative, no jumps between letters."""
-    if not w:
-        return True
-    if w[-1][1] >= 0:
-        return False
-    bounds = _gap_bounds(sig, w)
-    for j in range(len(w) - 1):
-        limit = bounds[j]
-        if w[j][0] > w[j + 1][0]:
-            limit -= 1
-        if w[j][1] - w[j + 1][1] > limit:
-            return False
-    return True
+    """Membership in the basis: last excess >= 0 (last mode negative) and no jump.
+
+    The excess of a basic word is then nonincreasing, ties in nondecreasing
+    generator order, so its nonzero entries form a colored partition.
+    """
+    e = excess(sig, w)
+    return not w or (e[-1] >= 0 and not any(_jumps(w, e, j) for j in range(len(w) - 1)))
 
 
 def termination_measure(sig: Signature, w: Word):
     """Tail-defect sequence (d(w_1),...,d(w_k)) plus the letter word.
 
-    d(u) = -sum of modes + sum of pairwise localities; rewriting steps never
-    increase the sequence componentwise, and ties strictly decrease the
-    letter word alphabetically.
+    d(w_i) = -sum of tail modes + sum of tail pairwise localities, which is
+    E_i plus the tail length; rewriting steps never increase the sequence
+    componentwise, and ties strictly decrease the letter word alphabetically.
     """
     k = len(w)
-    out = [0] * k
-    mode_sum = 0
-    pair_sum = 0
-    counts = [0] * sig.size
-    for i in range(k - 1, -1, -1):
-        g, n = w[i]
-        row = sig.locality[g]
-        pair_sum += sum(c * row[h] for h, c in enumerate(counts) if c)
-        counts[g] += 1
-        mode_sum += n
-        out[i] = pair_sum - mode_sum
-    return tuple(out), tuple(g for g, _ in w)
+    tails = _tail_sums(excess(sig, w))
+    return tuple(tails[i] + k - i for i in range(k)), tuple(g for g, _ in w)
 
 
 # reduced forms of single words, keyed by (signature, strategy)
@@ -243,6 +215,7 @@ def normal_form(
     cheap.  Termination is guaranteed; the step budget (counting fresh
     expansions in this call) only guards against implementation bugs.
     """
+    _check_strategy(strategy)
     cache = _NF_CACHE.setdefault((sig, strategy), {})
     guard = [0]
     data = {}

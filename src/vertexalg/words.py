@@ -161,7 +161,7 @@ def translate(x: FreeElement, k: int = 1) -> FreeElement:
     """Divided power D^(k) of the translation operator.
 
     D acts on a word as the sum over letters of -n * (n -> n-1); the divided
-    power iterates D and divides by k!.
+    power iterates D and divides by k! once, exactly.
     """
     if k < 0:
         raise ValueError("negative divided power")
@@ -176,7 +176,8 @@ def translate(x: FreeElement, k: int = 1) -> FreeElement:
                 data[w2] = data.get(w2, 0) - n * c
         cur = FreeElement(data)
     if k > 1:
-        cur = cur.scale(Fraction(1, factorial(k)))
+        f = factorial(k)
+        cur = FreeElement({w: c // f if c % f == 0 else Fraction(c, f) for w, c in cur.terms.items()})
     return cur
 
 

@@ -96,6 +96,15 @@ def test_translate_examples(ferm):
     assert translate(ferm, x) == heis_act(ferm, 0, -2, v0)
 
 
+def test_divided_translate_divides_once(ferm):
+    # D^(2) v[2a] = (a(-1)^2 + a(-2)) v[2a]: integral values stay int
+    x = translate(ferm, vacuum_element(ferm, (2,)), 2)
+    assert x.terms == {(((1, 0), (1, 0)), (2,)): 2, (((2, 0),), (2,)): 1}
+    assert all(type(c) is int for c in x.terms.values())
+    y = translate(ferm, vacuum_element(ferm, (1,)).scale(Fraction(1, 3)), 2)
+    assert y.terms == {(((1, 0), (1, 0)), (1,)): Fraction(1, 6), (((2, 0),), (1,)): Fraction(1, 6)}
+
+
 def test_translate_heisenberg_commutator():
     # [D, h(n)] = -n h(n-1)
     for sig in (SIG_FERM, SIG_NEG):

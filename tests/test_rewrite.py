@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from vertexalg import min_deg2
+from vertexalg import make_signature, min_deg2
+from vertexalg import rewrite
 from vertexalg.rewrite import (
+    excess,
     expand_redex,
     find_redex,
     is_basic,
@@ -11,7 +13,7 @@ from vertexalg.rewrite import (
     normal_form,
     termination_measure,
 )
-from vertexalg.words import FreeElement, word_deg2, word_weight
+from vertexalg.words import FreeElement, binomial, word_deg2, word_weight
 from vertexalg import fock
 
 from conftest import ALL_SIGS, random_short_word, random_word_in, seeded
@@ -44,9 +46,10 @@ def test_expand_redex_free2(free2):
 
 
 def test_expand_redex_preserves_grading():
+    # the s-windows keep exactly the non-null words, and a null redex word expands to zero
     for sig in ALL_SIGS:
         rng = seeded(11)
-        done = 0
+        done = nulls = 0
         while done < 40:
             w = tuple(
                 (rng.randrange(sig.size), rng.randint(-4, 2) if i < 2 else rng.randint(-4, -1))
@@ -56,9 +59,15 @@ def test_expand_redex_preserves_grading():
             if j is None:
                 continue
             done += 1
-            for u in expand_redex(sig, w, j).terms:
+            out = expand_redex(sig, w, j)
+            if is_null_word(sig, w):
+                nulls += 1
+                assert out.is_zero(), w
+            for u in out.terms:
+                assert not is_null_word(sig, u), (w, u)
                 assert word_weight(sig, u) == word_weight(sig, w)
                 assert word_deg2(sig, u) == word_deg2(sig, w)
+        assert 0 < nulls < done
 
 
 def test_expand_redex_requires_redex(ferm):
@@ -74,6 +83,18 @@ def test_normal_form_examples(ferm):
     assert out.steps >= 1
     basic = FreeElement({((0, -3), (0, -1)): 1})
     assert normal_form(ferm, basic).result == basic
+
+
+def test_unknown_strategy_rejected(ferm):
+    w = ((0, -1), (0, -2))
+    for strategy in ("Leftmost", "right", ""):
+        with pytest.raises(ValueError):
+            find_redex(ferm, w, strategy)
+        with pytest.raises(ValueError):
+            normal_form(ferm, FreeElement({w: 1}), strategy)
+        with pytest.raises(ValueError):
+            normal_form(ferm, FreeElement(), strategy)
+        assert (ferm, strategy) not in rewrite._NF_CACHE
 
 
 def test_normal_form_idempotent():
@@ -100,6 +121,99 @@ def test_terminality_matches_basic_exhaustively():
                     w = tuple(zip(letters, modes))
                     terminal = not is_null_word(sig, w) and find_redex(sig, w) is None
                     assert terminal == is_basic(sig, w), w
+
+
+# Direct formulas for the degree and locality tests, independent of the
+# excess reading in the library: tail sums of modes against pairwise
+# localities, the gap bounds m_j, and the quadratic cap on a tail's mode sum.
+
+
+def _oracle_is_null(sig, w):
+    k = len(w)
+    for i in range(k):
+        tail = w[i:]
+        pairs = sum(sig.locality[g][h] for p, (g, _) in enumerate(tail) for h, _ in tail[p + 1 :])
+        if sum(n for _, n in tail) >= pairs - (k - i) + 1:
+            return True
+    return False
+
+
+def _oracle_gap_bounds(sig, w):
+    # m_j = sum_{i>j} N(a_j, a_i) - sum_{i>j+1} N(a_{j+1}, a_i)
+    N = sig.locality
+    return [
+        sum(N[w[j][0]][g] for g, _ in w[j + 1 :]) - sum(N[w[j + 1][0]][g] for g, _ in w[j + 2 :])
+        for j in range(len(w) - 1)
+    ]
+
+
+def _oracle_tail_cap(sig, first_gen, rest):
+    # largest mode sum of a non-null tail (first_gen, rest): pair sum - length
+    pair = sum(sig.locality[first_gen][g] for g, _ in rest)
+    for i, (g, _) in enumerate(rest):
+        for g2, _ in rest[i + 1 :]:
+            pair += sig.locality[g][g2]
+    return pair - (1 + len(rest))
+
+
+def _oracle_jumps(sig, w):
+    bounds = _oracle_gap_bounds(sig, w)
+    out = []
+    for j in range(len(w) - 1):
+        gap = w[j][1] - w[j + 1][1]
+        out.append(gap > bounds[j] or (gap == bounds[j] and w[j][0] > w[j + 1][0]))
+    return out
+
+
+def _oracle_expand(sig, w, j):
+    # locality expansion with windows from the tail caps and a null test on every candidate
+    (ga, na), (gb, nb) = w[j], w[j + 1]
+    loc = sig.locality[ga][gb]
+    koszul = -1 if sig.parity(ga) and sig.parity(gb) else 1
+    prefix, suffix = w[:j], w[j + 2 :]
+    data = {}
+    s_hi = _oracle_tail_cap(sig, gb, suffix) - sum(n for _, n in w[j + 1 :])
+    for s in range(1, (s_hi if loc < 0 else min(s_hi, loc)) + 1):
+        u = prefix + ((ga, na - s), (gb, nb + s)) + suffix
+        if not _oracle_is_null(sig, u):
+            data[u] = data.get(u, 0) + (-1) ** (s + 1) * binomial(loc, s)
+    s_lo = na + sum(n for _, n in suffix) - _oracle_tail_cap(sig, ga, suffix)
+    for s in range(s_lo if loc < 0 else max(s_lo, 0), loc + 1):
+        u = prefix + ((gb, nb + s), (ga, na - s)) + suffix
+        if not _oracle_is_null(sig, u):
+            data[u] = data.get(u, 0) + (-1) ** s * koszul * binomial(loc, loc - s)
+    return FreeElement(data)
+
+
+SIG_THREE = make_signature(["a", "b", "c"], [[-1, 1, 0], [1, -2, 3], [0, 3, 2]])
+
+
+def test_excess_reading_matches_direct_formulas():
+    # all words with modes in [-6, 3], length <= 3
+    for sig in ALL_SIGS + (SIG_THREE,):
+        N = sig.locality
+        for k in range(0, 4):
+            for letters in itertools.product(range(sig.size), repeat=k):
+                for modes in itertools.product(range(-6, 4), repeat=k):
+                    w = tuple(zip(letters, modes))
+                    e = [sum(N[g][h] for h in letters[i + 1 :]) - 1 - n for i, (g, n) in enumerate(w)]
+                    assert excess(sig, w) == e
+                    null = _oracle_is_null(sig, w)
+                    assert is_null_word(sig, w) == null, w
+                    jumps = _oracle_jumps(sig, w)
+                    left = next((j for j, x in enumerate(jumps) if x), None)
+                    right = next((j for j in reversed(range(k - 1)) if jumps[j]), None)
+                    assert find_redex(sig, w, "leftmost") == left, w
+                    assert find_redex(sig, w, "rightmost") == right, w
+                    assert is_basic(sig, w) == (not null and left is None), w
+                    dseq = tuple(
+                        sum(N[g][h] for p, g in enumerate(letters[i:]) for h in letters[i + p + 1 :])
+                        - sum(modes[i:])
+                        for i in range(k)
+                    )
+                    assert termination_measure(sig, w) == (dseq, letters)
+                    for j in {left, right} - {None}:
+                        assert expand_redex(sig, w, j) == _oracle_expand(sig, w, j), (w, j)
 
 
 def test_measure_formula(ferm):

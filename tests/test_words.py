@@ -50,6 +50,8 @@ def test_translate_examples():
     assert translate(a, 0) == a
     assert translate(a, 1) == FreeElement({((0, -2),): 1})
     assert translate(a, 2) == FreeElement({((0, -3),): 1})
+    assert all(type(c) is int for c in translate(a, 2).terms.values())
+    assert translate(a.scale(Fraction(1, 2)), 3) == FreeElement({((0, -4),): Fraction(1, 2)})
 
 
 def test_translate_is_derivation(ferm):
