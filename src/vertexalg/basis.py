@@ -106,22 +106,41 @@ def colored_partitions(total: int, caps):
     yield from rec(total, total, 0, list(caps))
 
 
-def basis_words(sig: Signature, lam: Weight, deg2: int):
-    """All basic words of the given weight and doubled degree, sorted.
+def _partition_total(sig: Signature, lam: Weight, deg2: int):
+    """(deg2 - floor)/2, the total of the component's colored partitions; None if it has no words.
 
     A weight with a negative entry has no words.
     """
     floor = min_deg2(sig, lam)
     if deg2 < floor or (deg2 - floor) & 1 or any(c < 0 for c in lam):
+        return None
+    return (deg2 - floor) // 2
+
+
+def basis_words(sig: Signature, lam: Weight, deg2: int):
+    """All basic words of the given weight and doubled degree, sorted."""
+    total = _partition_total(sig, lam, deg2)
+    if total is None:
         return []
-    out = [
-        word_from_partition(sig, lam, ColoredPartition(pairs))
-        for pairs in colored_partitions((deg2 - floor) // 2, lam)
-    ]
+    out = [word_from_partition(sig, lam, ColoredPartition(pairs)) for pairs in colored_partitions(total, lam)]
     out.sort()
     return out
 
 
 def dim_component(sig: Signature, lam: Weight, deg2: int) -> int:
-    """Dimension of the homogeneous component of weight lam and doubled degree deg2."""
-    return len(basis_words(sig, lam, deg2))
+    """Dimension of the homogeneous component of weight lam and doubled degree deg2.
+
+    By the bijection it counts the colored partitions of e = (deg2 - floor)/2
+    with at most lam_a parts of color a: the coefficient of q^e in
+    prod_a prod_{i=1..lam_a} (1 - q^i)^-1, read off an integer DP over the
+    factors in O(e * sum lam) steps, without enumerating the words.
+    """
+    e = _partition_total(sig, lam, deg2)
+    if e is None:
+        return 0
+    series = [1] + [0] * e
+    for cap in lam:
+        for i in range(1, min(cap, e) + 1):
+            for n in range(i, e + 1):
+                series[n] += series[n - i]
+    return series[e]

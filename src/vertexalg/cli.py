@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import fock
 from .basis import basis_words, dim_component
@@ -181,7 +182,9 @@ def _cmd_verify(args) -> int:
     )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vertexalg",
         description="Exact calculator for free and lattice vertex algebras.",

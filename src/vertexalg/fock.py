@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .signature import (
     Signature,
@@ -194,6 +195,12 @@ def _merge(heis, mono):
     return tuple(sorted(heis + mono))
 
 
+@cache
+def _pairing_row(sig: Signature, alpha: Weight) -> tuple:
+    """-(alpha|g) for every generator g, so that -(alpha|beta) = sum_g beta_g row[g]."""
+    return tuple(sum(a * row[g] for a, row in zip(alpha, sig.locality)) for g in range(sig.size))
+
+
 def _contractions(sig: Signature, alphas, heis, limit: int) -> list:
     """The E^+ contractions of the creation letters of heis with the charges alphas.
 
@@ -211,8 +218,7 @@ def _contractions(sig: Signature, alphas, heis, limit: int) -> list:
             runs[-1][1] += 1
         else:
             runs.append([letter, 1])
-    # -(alpha_i|g) for every generator g
-    neg = [[sum(a * row[g] for a, row in zip(alpha, sig.locality)) for g in range(sig.size)] for alpha in alphas]
+    neg = [_pairing_row(sig, alpha) for alpha in alphas]
     for (level, g), mult in runs:
         fs = [f[g] for f in neg]
         hit = [i for i, f in enumerate(fs) if f]
@@ -294,7 +300,7 @@ def _letter_kernel(sig: Signature, alpha: Weight, n: int, st: State) -> tuple:
     grouped with a binomial multiplicity.
     """
     heis, beta = st
-    degree = -n - 1 - pairing(sig, alpha, beta) + sum(k for k, _ in heis)
+    degree = -n - 1 + sum(map(mul, beta, _pairing_row(sig, alpha))) + sum(k for k, _ in heis)
     if degree < 0:
         return _ZERO
     choices = _contractions(sig, (alpha,), heis, degree)
@@ -425,7 +431,7 @@ def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> tuple:
     d0, sign, expansion = _word_expansion(sig, cw)
     alphas = [a for a, _ in cw]
     k = len(alphas)
-    b = [pairing(sig, a, beta) for a in alphas]
+    b = [-sum(map(mul, beta, _pairing_row(sig, a))) for a in alphas]
     degree = d0 - m - 1 - sum(b) + sum(level for level, _ in heis)
     if degree < 0 or not expansion:
         return _ZERO

@@ -87,9 +87,11 @@ def _check_strategy(strategy: str) -> None:
 def find_redex(sig: Signature, w: Word, strategy: str = "leftmost"):
     """Position of the first adjacent jump in the strategy's scan order, or None."""
     _check_strategy(strategy)
-    e = excess(sig, w)
-    k = len(w)
-    positions = range(k - 1) if strategy == "leftmost" else range(k - 2, -1, -1)
+    return _redex(w, excess(sig, w), strategy)
+
+
+def _redex(w: Word, e: list, strategy: str):
+    positions = range(len(w) - 1) if strategy == "leftmost" else range(len(w) - 2, -1, -1)
     return next((j for j in positions if _jumps(w, e, j)), None)
 
 
@@ -106,6 +108,11 @@ def expand_redex(sig: Signature, w: Word, j: int) -> FreeElement:
     e = excess(sig, w)
     if not _jumps(w, e, j):
         raise ValueError("expand_redex called on a non-redex position")
+    return _expand(sig, w, j, e)
+
+
+def _expand(sig: Signature, w: Word, j: int, e: list) -> FreeElement:
+    """The expansion of `expand_redex` at a redex j of w whose excess list is e."""
     tails = _tail_sums(e)
     if min(tails) < 0:
         return FreeElement()
@@ -176,7 +183,8 @@ def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard, bu
             continue
         exp = pending.get(w)
         if exp is None:
-            j = find_redex(sig, w, strategy)
+            e = excess(sig, w)
+            j = _redex(w, e, strategy)
             if j is None:
                 cache[w] = (FreeElement({w: 1}), 0)
                 stack.pop()
@@ -184,7 +192,7 @@ def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard, bu
             guard[0] += 1
             if guard[0] > budget:
                 raise StepBudgetExceeded("rewriting step budget exceeded (likely a bug)")
-            exp = expand_redex(sig, w, j)
+            exp = _expand(sig, w, j, e)
             pending[w] = exp
             stack.extend(u for u in exp.terms if u not in cache)
             continue

@@ -12,7 +12,7 @@ dense integer tuples aligned with the generator order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 # Exact scalar type used everywhere; never floats.
@@ -27,10 +27,21 @@ class SignatureError(ValueError):
 
 @dataclass(frozen=True)
 class Signature:
-    """Generator names (order matters) plus the locality matrix N."""
+    """Generator names (order matters) plus the locality matrix N.
+
+    Every memo table is keyed by a signature, so its hash is computed once,
+    at construction; equality stays by value.
+    """
 
     generators: tuple[str, ...]
     locality: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.generators, self.locality)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:

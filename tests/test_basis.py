@@ -124,6 +124,18 @@ def test_dims_match_naive_counter():
             assert dim_component(sig, lam, d2) == expected
 
 
+def test_dim_dp_matches_enumeration():
+    # the DP count against the enumeration on every criterion-1 component
+    for sig in ALL_SIGS:
+        for lam, d2 in components(sig, max_size=4, extra=12):
+            assert dim_component(sig, lam, d2) == len(basis_words(sig, lam, d2)), (sig.generators, lam, d2)
+
+
+def test_dim_large_component(free2):
+    # 52,806 basic words, counted without building them
+    assert dim_component(free2, (4, 4), min_deg2(free2, (4, 4)) + 2 * 30) == 52806
+
+
 def test_enumeration_is_injective_and_basic():
     for sig in ALL_SIGS:
         for lam, d2 in components(sig, max_size=3, extra=10):

@@ -512,3 +512,18 @@ def test_integer_accumulation_matches_fraction_sum(sig):
             assert got == _fraction_sum(product, terms)
             assert _exact_types(got)
     assert minus > 0 or not signed  # cocycle -1 pairs occur wherever the lattice has them
+
+
+def test_memo_hit_on_equal_distinct_signature():
+    # memo tables are keyed by value: an equal signature built apart hits the entries of the first
+    s1 = make_signature(["a", "b"], [[-2, 1], [1, -2]])
+    s2 = make_signature(["a", "b"], [[-2, 1], [1, -2]])
+    assert s1 is not s2
+    x = vacuum_product(s1, (1, 1), -3, (1, -2))
+    tables = (fock._letter_kernel, fock._pairing_row)
+    before = [t.cache_info() for t in tables]
+    assert vacuum_product(s2, (1, 1), -3, (1, -2)) == x
+    for t, b in zip(tables, before):
+        after = t.cache_info()
+        assert after.misses == b.misses and after.currsize == b.currsize
+    assert tables[0].cache_info().hits == before[0].hits + 1

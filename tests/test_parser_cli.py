@@ -120,6 +120,32 @@ def test_cli_long_right_normed_word(ferm_cfg):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_runs_in_one_process_match_fresh_processes(ferm_cfg, tmp_path, capsys):
+    # the parser is built once per process; a sequence of runs through it,
+    # errors included, must print and exit as a fresh process does each time
+    bad = tmp_path / "bad.cfg"
+    bad.write_text('{"generators": ["a", "b"], "locality": [[2, 1], [3, 2]]}')
+    commands = (
+        ["--format", "machine", "normal-form", ferm_cfg, "a(-1)a(-2)vac"],
+        ["dim", ferm_cfg, "2a", "4..12"],
+        ["normal-form", ferm_cfg, "a(-1"],
+        ["basis", str(bad), "a", "0"],
+        ["embed", ferm_cfg, "a(-2)a(-1)vac"],
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(vertexalg.__file__).parents[1]))
+    codes = []
+    for argv in commands:
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "vertexalg.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 1, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_parse_error_exit(ferm_cfg, capsys):
     assert cli.run(["normal-form", ferm_cfg, "a(-1"]) == 1
     assert "offset 4" in capsys.readouterr().err

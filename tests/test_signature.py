@@ -111,3 +111,13 @@ def test_arbitrary_magnitude_entries():
     sig = load_signature(doc)
     assert sig.n(0, 0) == big
     assert min_deg2(sig, (1,)) == -big
+
+
+def test_equal_configs_compare_and_hash_equal():
+    doc = '{"generators": ["a", "b"], "locality": [[2, 1], [1, -2]]}'
+    s1, s2 = load_config(doc), load_config(doc)
+    assert s1 is not s2
+    assert s1 == s2 and hash(s1) == hash(s2)
+    assert {s1: 1}[s2] == 1
+    other = load_config('{"generators": ["a", "b"], "locality": [[2, 1], [1, 2]]}')
+    assert other != s1
