@@ -19,6 +19,15 @@ cocycle.  A public product clears the denominators of its input once,
 combines kernel values over the lcm of their denominators in integers, and
 ends with one exact division.
 
+Memo keys carry only what a value depends on.  The single-letter kernel
+v_alpha [n] st reads the signature through two rows of the charge alpha,
+the pairing row -(alpha|g) and the cocycle parity row (eps is linear in
+the exponent of its second weight), so it is keyed by those rows:
+signatures that agree on them share its entries.  `_schur`,
+`_schur_product`, `_distributions` and `_compositions` never read a
+signature.  The word kernel, the word expansion and the embedding of a word
+stay keyed by the signature.
+
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
 so the sorted form is canonical), and `charge` is a signed weight.
@@ -196,20 +205,33 @@ def _merge(heis, mono):
 
 
 @cache
-def _pairing_row(sig: Signature, alpha: Weight) -> tuple:
-    """-(alpha|g) for every generator g, so that -(alpha|beta) = sum_g beta_g row[g]."""
-    return tuple(sum(a * row[g] for a, row in zip(alpha, sig.locality)) for g in range(sig.size))
+def _charge_rows(sig: Signature, alpha: Weight) -> tuple:
+    """(pairing row, cocycle row) of a charge: all the single-letter kernel reads of sig.
+
+    The pairing row holds -(alpha|g) for every generator g, so that
+    -(alpha|beta) = sum_g beta_g row[g].  `cocycle` is linear in the
+    exponent of its second weight, so eps(alpha,beta) = (-1)^(sum_g beta_g c_g)
+    with the parity row c_g = cocycle exponent of (alpha, e_g) mod 2.
+    """
+    loc = sig.locality
+    pair = tuple(sum(a * row[g] for a, row in zip(alpha, loc)) for g in range(sig.size))
+    parity = tuple(
+        sum(alpha[p] * (loc[p][p] * loc[q][q] - loc[p][q]) for p in range(q + 1, sig.size)) & 1
+        for q in range(sig.size)
+    )
+    return pair, parity
 
 
-def _contractions(sig: Signature, alphas, heis, limit: int) -> list:
-    """The E^+ contractions of the creation letters of heis with the charges alphas.
+def _contractions(negs, heis, limit: int) -> list:
+    """The E^+ contractions of the creation letters of heis with charges of pairing rows negs.
 
     Each letter h(-k) is kept or contracted with one alpha_i, for a factor
-    -(alpha_i|h) and k more in shifts[i]; equal letters are grouped with a
-    multinomial multiplicity.  Returns (kept, kept degree, shifts, coefficient)
-    for every choice whose kept letters have degree at most limit.
+    -(alpha_i|h) = negs[i][h] and k more in shifts[i]; equal letters are
+    grouped with a multinomial multiplicity.  Returns (kept, kept degree,
+    shifts, coefficient) for every choice whose kept letters have degree at
+    most limit.
     """
-    out = [((), 0, (0,) * len(alphas), 1)]
+    out = [((), 0, (0,) * len(negs), 1)]
     if not heis:
         return out
     runs = []
@@ -218,9 +240,8 @@ def _contractions(sig: Signature, alphas, heis, limit: int) -> list:
             runs[-1][1] += 1
         else:
             runs.append([letter, 1])
-    neg = [_pairing_row(sig, alpha) for alpha in alphas]
     for (level, g), mult in runs:
-        fs = [f[g] for f in neg]
+        fs = [f[g] for f in negs]
         hit = [i for i, f in enumerate(fs) if f]
         nxt = []
         for kept, kdeg, shifts, c in out:
@@ -291,19 +312,21 @@ def _combine(data: dict, den: int, kernel, scale: int = 1) -> tuple:
 
 
 @cache
-def _letter_kernel(sig: Signature, alpha: Weight, n: int, st: State) -> tuple:
+def _letter_kernel(rows: tuple, alpha: Weight, n: int, st: State) -> tuple:
     """v_alpha [n] st for a state st = h1(-k1)...hm(-km) v_beta, in closed form.
 
     eps(alpha,beta) sum_S prod_{l in S} (-(alpha|h_l)) S_{e_S}(alpha)
     prod_{l not in S} h_l(-k_l) v_{alpha+beta}, e_S = -n-1-(alpha|beta) +
     sum_{l in S} k_l; S runs over the contracted letters, equal letters
-    grouped with a binomial multiplicity.
+    grouped with a binomial multiplicity.  rows = _charge_rows(sig, alpha)
+    is all it reads of the signature.
     """
+    pair, parity = rows
     heis, beta = st
-    degree = -n - 1 + sum(map(mul, beta, _pairing_row(sig, alpha))) + sum(k for k, _ in heis)
+    degree = -n - 1 + sum(map(mul, beta, pair)) + sum(k for k, _ in heis)
     if degree < 0:
         return _ZERO
-    choices = _contractions(sig, (alpha,), heis, degree)
+    choices = _contractions((pair,), heis, degree)
     if not choices:
         return _ZERO
     denom = factorial(degree - min(kdeg for _, kdeg, _, _ in choices))
@@ -315,17 +338,18 @@ def _letter_kernel(sig: Signature, alpha: Weight, n: int, st: State) -> tuple:
         for mono, t in _schur(alpha, e):
             key = (_merge(kept, mono), mu)
             data[key] = data.get(key, 0) + c * t
-    return _reduce(data, denom * cocycle(sig, alpha, beta))
+    return _reduce(data, -denom if sum(map(mul, beta, parity)) & 1 else denom)
 
 
 def vacuum_product(sig: Signature, alpha: Weight, n: int, beta: Weight) -> FockElement:
     """Product of two charged vacua: eps(a,b) S_e(a) v_{a+b}, e = -n-1-(a|b)."""
-    return _divide(*_letter_kernel(sig, alpha, n, ((), beta)))
+    return _divide(*_letter_kernel(_charge_rows(sig, alpha), alpha, n, ((), beta)))
 
 
 def product_charged(sig: Signature, alpha: Weight, n: int, x: FockElement) -> FockElement:
     """Product v_alpha [n] x, state by state through the closed form."""
-    return _divide(*_combine(*_clear(x), lambda st: _letter_kernel(sig, alpha, n, st)))
+    rows = _charge_rows(sig, alpha)
+    return _divide(*_combine(*_clear(x), lambda st: _letter_kernel(rows, alpha, n, st)))
 
 
 def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
@@ -431,11 +455,12 @@ def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> tuple:
     d0, sign, expansion = _word_expansion(sig, cw)
     alphas = [a for a, _ in cw]
     k = len(alphas)
-    b = [-sum(map(mul, beta, _pairing_row(sig, a))) for a in alphas]
+    negs = [_charge_rows(sig, a)[0] for a in alphas]
+    b = [-sum(map(mul, beta, neg)) for neg in negs]
     degree = d0 - m - 1 - sum(b) + sum(level for level, _ in heis)
     if degree < 0 or not expansion:
         return _ZERO
-    sigmas = _contractions(sig, alphas, heis, degree)
+    sigmas = _contractions(negs, heis, degree)
     weights = {}  # e -> kept -> integer weight
     for kept, kdeg, shifts, c in sigmas:
         bp = [b[i] - shifts[i] for i in range(k)]
@@ -491,7 +516,8 @@ def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockEleme
         c = binomial(m, j) if j >= 0 else 0
         if not c:
             return FOCK_ZERO
-        return _divide(*_combine(*_clear(x), lambda st: _letter_kernel(sig, alpha, m - j, st), -c if j & 1 else c))
+        rows = _charge_rows(sig, alpha)
+        return _divide(*_combine(*_clear(x), lambda st: _letter_kernel(rows, alpha, m - j, st), -c if j & 1 else c))
     return _divide(*_combine(*_clear(x), lambda st: _word_kernel(sig, cw, m, st)))
 
 
@@ -501,7 +527,8 @@ def _embed_word(sig: Signature, w: Word) -> tuple:
     data, den = {vacuum_state(sig): 1}, 1
     for g, n in reversed(w):
         alpha = sig.unit_weight(g)
-        data, den = _reduce(*_combine(data, den, lambda st: _letter_kernel(sig, alpha, n, st)))
+        rows = _charge_rows(sig, alpha)
+        data, den = _reduce(*_combine(data, den, lambda st: _letter_kernel(rows, alpha, n, st)))
     return data, den
 
 
@@ -555,10 +582,11 @@ def _state_kernel(sig: Signature, u: State, m: int, st: State) -> tuple:
     for (created, cdeg, rest), c in out.items():
         if c:
             data[created, m + cdeg - level + sum(k for k, _ in rest), rest] = c
+    rows = _charge_rows(sig, alpha)
 
     def kernel(key):
         created, n, rest = key
-        nums, d = _letter_kernel(sig, alpha, n, (rest, beta))
+        nums, d = _letter_kernel(rows, alpha, n, (rest, beta))
         return {(_merge(kept, created), mu): t for (kept, mu), t in nums.items()}, d
 
     return _combine(data, 1, kernel)

@@ -29,8 +29,9 @@ class SignatureError(ValueError):
 class Signature:
     """Generator names (order matters) plus the locality matrix N.
 
-    Every memo table is keyed by a signature, so its hash is computed once,
-    at construction; equality stays by value.
+    Memo tables are keyed by signatures, so the hash is computed once, at
+    construction; equality stays by value.  It hashes the doubled matrix:
+    CPython hashes -1 like -2, and 2x is never -1.
     """
 
     generators: tuple[str, ...]
@@ -38,7 +39,8 @@ class Signature:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.generators, self.locality)))
+        doubled = tuple(tuple(2 * x for x in row) for row in self.locality)
+        object.__setattr__(self, "_hash", hash((self.generators, doubled)))
 
     def __hash__(self) -> int:
         return self._hash

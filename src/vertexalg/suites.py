@@ -115,14 +115,14 @@ def verify_dong(sig: Signature, k_max: int = 4) -> SuiteReport:
     report = SuiteReport("dong")
     names = sig.generators
     for a in range(sig.size):
+        alpha = sig.unit_weight(a)
         for b in range(sig.size):
+            beta = sig.unit_weight(b)
             for c in range(sig.size):
+                gamma = sig.unit_weight(c)
                 for k in range(k_max + 1):
                     cid = f"{names[a]},{names[b]},{names[c]},k={k}"
                     n = sig.n(a, b) - k - 1
-                    alpha = sig.unit_weight(a)
-                    beta = sig.unit_weight(b)
-                    gamma = sig.unit_weight(c)
                     y = fock.vacuum_product(sig, beta, n, alpha)
                     if y.is_zero():
                         report.add(cid, "nonzero product", "0", status="skip")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 import sympy
@@ -53,6 +54,8 @@ w2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 def test_cocycle_bimultiplicative(lam, mu, nu):
     assert cocycle(ODD2, weight_add(lam, mu), nu) == cocycle(ODD2, lam, nu) * cocycle(ODD2, mu, nu)
     assert cocycle(ODD2, nu, weight_add(lam, mu)) == cocycle(ODD2, nu, lam) * cocycle(ODD2, nu, mu)
+    for sig in (ODD2, A2, SIG_NEG):  # the kernel's sign: (-1)^(beta . cocycle row of alpha)
+        assert (-1) ** sum(map(mul, mu, fock._charge_rows(sig, lam)[1])) == cocycle(sig, lam, mu)
 
 
 @given(w2, w2)
@@ -514,13 +517,37 @@ def test_integer_accumulation_matches_fraction_sum(sig):
     assert minus > 0 or not signed  # cocycle -1 pairs occur wherever the lattice has them
 
 
+def test_letter_kernel_shared_by_equal_charge_rows():
+    # the kernel of v_b is keyed by b's pairing row (N(b,a), N(b,b)) and cocycle row, not by the signature
+    b, beta, n = (0, 1), (1, 0), -3
+    s1 = make_signature(["a", "b"], [[-2, 0], [0, -1]])
+    same = make_signature(["a", "b"], [[0, 0], [0, -1]])  # N(a,a) of the same parity: equal rows
+    other = make_signature(["a", "b"], [[-1, 0], [0, -1]])  # N(a,a) odd: the cocycle rows differ
+    assert fock._charge_rows(s1, b) == fock._charge_rows(same, b)
+    assert fock._charge_rows(s1, b)[0] == fock._charge_rows(other, b)[0]
+    assert fock._charge_rows(s1, b)[1] != fock._charge_rows(other, b)[1]
+    x = vacuum_product(s1, b, n, beta)
+    assert not x.is_zero()
+    before = fock._letter_kernel.cache_info()
+    assert vacuum_product(same, b, n, beta) == x
+    after = fock._letter_kernel.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+    y = vacuum_product(other, b, n, beta)
+    assert fock._letter_kernel.cache_info().misses == after.misses + 1
+    assert y == -x
+    for sig, got in ((s1, x), (same, x), (other, y)):
+        assert got == _oracle_charged_state(sig, b, n, ((), beta))
+        st_ = (((1, 0), (2, 1)), beta)
+        assert product_charged(sig, b, n, FockElement({st_: 1})) == _oracle_charged_state(sig, b, n, st_)
+
+
 def test_memo_hit_on_equal_distinct_signature():
     # memo tables are keyed by value: an equal signature built apart hits the entries of the first
     s1 = make_signature(["a", "b"], [[-2, 1], [1, -2]])
     s2 = make_signature(["a", "b"], [[-2, 1], [1, -2]])
     assert s1 is not s2
     x = vacuum_product(s1, (1, 1), -3, (1, -2))
-    tables = (fock._letter_kernel, fock._pairing_row)
+    tables = (fock._letter_kernel, fock._charge_rows)
     before = [t.cache_info() for t in tables]
     assert vacuum_product(s2, (1, 1), -3, (1, -2)) == x
     for t, b in zip(tables, before):

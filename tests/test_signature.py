@@ -121,3 +121,11 @@ def test_equal_configs_compare_and_hash_equal():
     assert {s1: 1}[s2] == 1
     other = load_config('{"generators": ["a", "b"], "locality": [[2, 1], [1, 2]]}')
     assert other != s1
+
+
+def test_dong_grid_signatures_hash_apart():
+    # CPython hashes -1 like -2; the 216 criterion-4 signatures must still hash to 216 values
+    values = range(-2, 4)
+    sigs = {make_signature(["a", "b"], [[naa, nab], [nab, nbb]]) for naa in values for nbb in values for nab in values}
+    assert len(sigs) == 216
+    assert len({hash(sig) for sig in sigs}) == 216
