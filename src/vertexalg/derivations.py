@@ -11,6 +11,12 @@ unrolls on a word l1...lk vac, l_i = a_i(n_i), into one pass over its letters:
 
     alpha(m) w = sum_i l1...l(i-1) sum_{s>=0} C(m,s) (alpha(s) a_i) [m+n_i-s] (l(i+1)...lk vac).
 
+A one-letter word b(k) vac of an action value is the divided power
+D^(j) b, j = -k-1, so its product is the one-letter rule of the free
+product, applied directly: (b(k) vac) [p] y = (-1)^j C(p,j) b(p-j) y.  The
+Heisenberg and Virasoro derivations have only such values, and a long word
+costs one prepend per letter.  Longer values go through `words.product`.
+
 Null words (a tail below its degree floor, see `rewrite.is_null_word`) are
 dropped from the value, so it does not depend on which terms the degree
 floor of the inner products happened to truncate.
@@ -73,12 +79,20 @@ def apply_derivation(sig: Signature, spec: DerivationSpec, m: int, x: FreeElemen
     data = {}
     for w, c in x.terms.items():
         for i, (a, n) in enumerate(w):
-            head, tail = w[:i], word_element(w[i + 1 :])
+            head, tail = w[:i], w[i + 1 :]
             for s in range(min(m, spec.locality - 1) + 1):
-                value = spec.action(a, s)
-                if value.is_zero():
-                    continue
-                for w2, c2 in product(sig, value, m + n - s, tail).terms.items():
-                    key = head + w2
-                    data[key] = data.get(key, 0) + binomial(m, s) * c * c2
+                p = m + n - s
+                for v, cv in spec.action(a, s).terms.items():
+                    cv *= binomial(m, s) * c
+                    if len(v) == 1:
+                        (b, k), = v
+                        j = -k - 1
+                        t = binomial(p, j)
+                        if t:
+                            key = head + ((b, p - j),) + tail
+                            data[key] = data.get(key, 0) + (-cv * t if j & 1 else cv * t)
+                        continue
+                    for w2, c2 in product(sig, word_element(v), p, word_element(tail)).terms.items():
+                        key = head + w2
+                        data[key] = data.get(key, 0) + cv * c2
     return FreeElement({w: c for w, c in data.items() if not is_null_word(sig, w)})

@@ -4,29 +4,39 @@ Charged vacua act through the lattice vertex operator
 Y(v_a, z) = eps e^a z^{a(0)} E^-(a, z) E^+(a, z) (Frenkel-Lepowsky-Meurman;
 Kac, Vertex Algebras for Beginners), read off in closed form: E^- gives
 Schur polynomials S_e(a) in the creation operators a(-j), and E^+ contracts
-each creation letter h(-k) of the right state to a power of z.  One kernel
-applies a single v_a [n] to a state (vacuum products, the embedding of the
-free algebra letter by letter); a second applies the image of a whole
-charged word a1(n1)...ak(nk) vac at once.  The general product of two
-states reads the vertex operator of the left state h1(-k1)...hp(-kp) v_a as
-the normally ordered product of the derivatives of its Heisenberg fields
-with Y(v_a, z): each letter is created, or contracts with the right state,
-in one loop, and the rest goes through the single-letter kernel.
+each creation letter h(-k) of the right state to a power of z.  One step
+applies a single v_a [n] to a whole combination of states at once (vacuum
+products, charged products, one-letter words, the embedding of the free
+algebra letter by letter): it sums the contraction coefficients of every
+state by (kept letters, Schur degree, charge) and multiplies each distinct
+kept part by the Schur polynomial once.  A word kernel applies the image
+of a whole charged word a1(n1)...ak(nk) vac at once.  The general product
+of two states reads the vertex operator of the left state
+h1(-k1)...hp(-kp) v_a as the normally ordered product of the derivatives
+of its Heisenberg fields with Y(v_a, z): each letter is created, or
+contracts with the right state, in one loop, and the rest goes through the
+letter step, one state at a time.
 
 Every kernel value is a pair (numerators, denom): a dict from state to
-nonzero int over one nonzero int denominator, whose sign carries the
-cocycle.  A public product clears the denominators of its input once,
-combines kernel values over the lcm of their denominators in integers, and
-ends with one exact division.
+nonzero int over one nonzero int denominator.  The word kernel puts the
+cocycle sign in the denominator; the letter step, whose states may carry
+different signs, puts it in the numerators.  A public product clears the
+denominators of its input once, combines kernel values over the lcm of
+their denominators in integers, and ends with one exact division.
 
-Memo keys carry only what a value depends on.  The single-letter kernel
-v_alpha [n] st reads the signature through two rows of the charge alpha,
-the pairing row -(alpha|g) and the cocycle parity row (eps is linear in
-the exponent of its second weight), so it is keyed by those rows:
-signatures that agree on them share its entries.  `_schur`,
-`_schur_product`, `_distributions` and `_compositions` never read a
-signature.  The word kernel, the word expansion and the embedding of a word
-stay keyed by the signature.
+Memo keys carry only what a value depends on.  The letter step reads the
+signature through two rows of the charge alpha, the pairing row -(alpha|g)
+and the cocycle parity row (eps is linear in the exponent of its second
+weight), so it is keyed by those rows, the mode and the combination as a
+frozenset of (state, numerator) items: signatures that agree on the rows
+share its entries.  The numerators are negated where the denominator is
+negative, so a combination has one key whatever the sign of its
+denominator; the reduced image of a word after each letter of the
+embedding and the cleared image `embed(v)` that a one-letter product
+receives are then the same key.  `_schur`, `_schur_product`,
+`_distributions` and `_compositions` never read a signature.  The word
+kernel, the word expansion and the embedding of a word stay keyed by the
+signature.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -292,64 +302,84 @@ def _clear(x) -> tuple:
     return {key: c.numerator * (denom // c.denominator) for key, c in x.terms.items()}, denom
 
 
-def _combine(data: dict, den: int, kernel, scale: int = 1) -> tuple:
+def _combine(data: dict, den: int, kernel) -> tuple:
     """sum_k data[k] * kernel(k) over den, in integers, for kernel values (numerators, d_k).
 
     With L = lcm of the d_k, the value of k enters with the integer factor
-    scale * data[k] * (L // d_k), and the sum is over den * L.
+    data[k] * (L // d_k), and the sum is over den * L.
     """
     values = [(c, kernel(key)) for key, c in data.items()]
-    if len(values) == 1 and scale * values[0][0] == 1:  # a single value passes as it is
+    if len(values) == 1 and values[0][0] == 1:  # a single value passes as it is
         nums, d = values[0][1]
         return nums, den * d
     big = lcm(*(d for _, (_, d) in values))
     out = {}
     for c, (nums, d) in values:
-        c *= scale * (big // d)
+        c *= big // d
         for key, t in nums.items():
             out[key] = out.get(key, 0) + c * t
     return out, den * big
 
 
-@cache
-def _letter_kernel(rows: tuple, alpha: Weight, n: int, st: State) -> tuple:
-    """v_alpha [n] st for a state st = h1(-k1)...hm(-km) v_beta, in closed form.
+def _apply_letter(rows: tuple, alpha: Weight, n: int, data: dict, den: int) -> tuple:
+    """v_alpha [n] on the integer combination data over den, as (numerators, denom).
 
-    eps(alpha,beta) sum_S prod_{l in S} (-(alpha|h_l)) S_{e_S}(alpha)
-    prod_{l not in S} h_l(-k_l) v_{alpha+beta}, e_S = -n-1-(alpha|beta) +
-    sum_{l in S} k_l; S runs over the contracted letters, equal letters
-    grouped with a binomial multiplicity.  rows = _charge_rows(sig, alpha)
-    is all it reads of the signature.
+    The numerators are negated where den < 0, so that a combination has one
+    memo key whichever sign its denominator came with; the step's own
+    denominator is positive.
+    """
+    if den < 0:
+        data, den = {key: -c for key, c in data.items()}, -den
+    nums, d = _letter_step(rows, alpha, n, frozenset(data.items()))
+    return nums, d * den
+
+
+@cache
+def _letter_step(rows: tuple, alpha: Weight, n: int, items: frozenset) -> tuple:
+    """v_alpha [n] on the integer combination of the (state, int) items, in closed form.
+
+    On st = h1(-k1)...hm(-km) v_beta it is eps(alpha,beta) sum_S
+    prod_{l in S} (-(alpha|h_l)) S_{e_S}(alpha) prod_{l not in S} h_l(-k_l)
+    v_{alpha+beta}, e_S = -n-1-(alpha|beta) + sum_{l in S} k_l; S runs over
+    the contracted letters, equal letters grouped with a binomial
+    multiplicity.  The signed contraction coefficients of every state are
+    summed by (kept letters, e_S, alpha+beta) first, so each distinct kept
+    part meets e! S_e(alpha) once.  rows = _charge_rows(sig, alpha) is all it
+    reads of the signature.
     """
     pair, parity = rows
-    heis, beta = st
-    degree = -n - 1 + sum(map(mul, beta, pair)) + sum(k for k, _ in heis)
-    if degree < 0:
+    groups = {}
+    for (heis, beta), c in items:
+        degree = -n - 1 + sum(map(mul, beta, pair)) + sum(k for k, _ in heis)
+        if degree < 0:
+            continue
+        if sum(map(mul, beta, parity)) & 1:
+            c = -c
+        mu = weight_add(alpha, beta)
+        for kept, kdeg, _, t in _contractions((pair,), heis, degree):
+            key = (kept, degree - kdeg, mu)
+            groups[key] = groups.get(key, 0) + c * t
+    groups = {key: c for key, c in groups.items() if c}
+    if not groups:
         return _ZERO
-    choices = _contractions((pair,), heis, degree)
-    if not choices:
-        return _ZERO
-    denom = factorial(degree - min(kdeg for _, kdeg, _, _ in choices))
-    mu = weight_add(alpha, beta)
+    denom = factorial(max(e for _, e, _ in groups))
     data = {}
-    for kept, kdeg, _, c in choices:
-        e = degree - kdeg
+    for (kept, e, mu), c in groups.items():
         c *= denom // factorial(e)
         for mono, t in _schur(alpha, e):
             key = (_merge(kept, mono), mu)
             data[key] = data.get(key, 0) + c * t
-    return _reduce(data, -denom if sum(map(mul, beta, parity)) & 1 else denom)
+    return _reduce(data, denom)
 
 
 def vacuum_product(sig: Signature, alpha: Weight, n: int, beta: Weight) -> FockElement:
     """Product of two charged vacua: eps(a,b) S_e(a) v_{a+b}, e = -n-1-(a|b)."""
-    return _divide(*_letter_kernel(_charge_rows(sig, alpha), alpha, n, ((), beta)))
+    return _divide(*_apply_letter(_charge_rows(sig, alpha), alpha, n, {((), beta): 1}, 1))
 
 
 def product_charged(sig: Signature, alpha: Weight, n: int, x: FockElement) -> FockElement:
-    """Product v_alpha [n] x, state by state through the closed form."""
-    rows = _charge_rows(sig, alpha)
-    return _divide(*_combine(*_clear(x), lambda st: _letter_kernel(rows, alpha, n, st)))
+    """Product v_alpha [n] x, on the whole combination through the closed form."""
+    return _divide(*_apply_letter(_charge_rows(sig, alpha), alpha, n, *_clear(x)))
 
 
 def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
@@ -516,8 +546,8 @@ def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockEleme
         c = binomial(m, j) if j >= 0 else 0
         if not c:
             return FOCK_ZERO
-        rows = _charge_rows(sig, alpha)
-        return _divide(*_combine(*_clear(x), lambda st: _letter_kernel(rows, alpha, m - j, st), -c if j & 1 else c))
+        nums, d = _apply_letter(_charge_rows(sig, alpha), alpha, m - j, *_clear(x))
+        return _divide({key: c * t for key, t in nums.items()}, -d if j & 1 else d)
     return _divide(*_combine(*_clear(x), lambda st: _word_kernel(sig, cw, m, st)))
 
 
@@ -527,8 +557,7 @@ def _embed_word(sig: Signature, w: Word) -> tuple:
     data, den = {vacuum_state(sig): 1}, 1
     for g, n in reversed(w):
         alpha = sig.unit_weight(g)
-        rows = _charge_rows(sig, alpha)
-        data, den = _reduce(*_combine(data, den, lambda st: _letter_kernel(rows, alpha, n, st)))
+        data, den = _reduce(*_apply_letter(_charge_rows(sig, alpha), alpha, n, data, den))
     return data, den
 
 
@@ -586,7 +615,7 @@ def _state_kernel(sig: Signature, u: State, m: int, st: State) -> tuple:
 
     def kernel(key):
         created, n, rest = key
-        nums, d = _letter_kernel(rows, alpha, n, (rest, beta))
+        nums, d = _apply_letter(rows, alpha, n, {(rest, beta): 1}, 1)
         return {(_merge(kept, created), mu): t for (kept, mu), t in nums.items()}, d
 
     return _combine(data, 1, kernel)

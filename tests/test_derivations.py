@@ -4,11 +4,24 @@ import pytest
 
 from vertexalg import make_signature, normal_form, pairing
 from vertexalg.derivations import (
+    DerivationSpec,
     apply_derivation,
     heisenberg_derivation,
     virasoro_derivation,
 )
-from vertexalg.words import FreeElement, ZERO, VACUUM, binomial, translate, word_deg2, word_weight
+from vertexalg.rewrite import is_null_word
+from vertexalg.words import (
+    FreeElement,
+    ZERO,
+    VACUUM,
+    _word_product,
+    binomial,
+    product,
+    translate,
+    word_deg2,
+    word_element,
+    word_weight,
+)
 from vertexalg import fock
 
 from conftest import ALL_SIGS, SIG_FERM, random_short_word, seeded
@@ -195,5 +208,41 @@ def test_derivation_on_long_word():
     x = FreeElement({w: 1})
     for locality, coeff in (([[-2, 0], [0, -2]], 0), ([[2, 0], [0, 2]], 1200)):
         sig = make_signature(["a", "b"], locality)
+        before = _word_product.cache_info().currsize
         out = apply_derivation(sig, virasoro_derivation(sig, (1, 0)), 1, x)
         assert out == FreeElement({w: coeff})
+        assert _word_product.cache_info().currsize == before  # one-letter values skip the free product
+
+
+def _through_product(sig, spec, m, x):
+    """The Leibniz pass with every action value multiplied through `words.product`."""
+    data = {}
+    for w, c in x.terms.items():
+        for i, (a, n) in enumerate(w):
+            for s in range(min(m, spec.locality - 1) + 1):
+                value = spec.action(a, s)
+                for w2, c2 in product(sig, value, m + n - s, word_element(w[i + 1 :])).terms.items():
+                    key = w[:i] + w2
+                    data[key] = data.get(key, 0) + binomial(m, s) * c * c2
+    return FreeElement({w: c for w, c in data.items() if not is_null_word(sig, w)})
+
+
+def test_one_letter_rule_matches_free_product():
+    # one-letter action values go through the one-letter rule, longer ones through
+    # words.product; both against the free product on every value
+    for sig in ALL_SIGS:
+        rng = seeded(38)
+        f = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(sig.size))
+        mixed = tuple(
+            ((0, word_element(((g, -2),)) + word_element(((g, -1), (0, -1))).scale(3)),) for g in range(sig.size)
+        )
+        specs = (heisenberg_derivation(sig, f), virasoro_derivation(sig, f), DerivationSpec(mixed, 1))
+        nonzero = 0
+        for _ in range(40):
+            x = FreeElement({random_short_word(sig, rng, max_len=4): rng.randint(1, 3) for _ in range(2)})
+            m = rng.randint(0, 3)
+            for spec in specs:
+                got = apply_derivation(sig, spec, m, x)
+                assert got == _through_product(sig, spec, m, x)
+                nonzero += not got.is_zero()
+        assert nonzero >= 40

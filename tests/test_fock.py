@@ -518,7 +518,7 @@ def test_integer_accumulation_matches_fraction_sum(sig):
 
 
 def test_letter_kernel_shared_by_equal_charge_rows():
-    # the kernel of v_b is keyed by b's pairing row (N(b,a), N(b,b)) and cocycle row, not by the signature
+    # the letter step of v_b is keyed by b's pairing row (N(b,a), N(b,b)) and cocycle row, not by the signature
     b, beta, n = (0, 1), (1, 0), -3
     s1 = make_signature(["a", "b"], [[-2, 0], [0, -1]])
     same = make_signature(["a", "b"], [[0, 0], [0, -1]])  # N(a,a) of the same parity: equal rows
@@ -528,12 +528,12 @@ def test_letter_kernel_shared_by_equal_charge_rows():
     assert fock._charge_rows(s1, b)[1] != fock._charge_rows(other, b)[1]
     x = vacuum_product(s1, b, n, beta)
     assert not x.is_zero()
-    before = fock._letter_kernel.cache_info()
+    before = fock._letter_step.cache_info()
     assert vacuum_product(same, b, n, beta) == x
-    after = fock._letter_kernel.cache_info()
+    after = fock._letter_step.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 1
     y = vacuum_product(other, b, n, beta)
-    assert fock._letter_kernel.cache_info().misses == after.misses + 1
+    assert fock._letter_step.cache_info().misses == after.misses + 1
     assert y == -x
     for sig, got in ((s1, x), (same, x), (other, y)):
         assert got == _oracle_charged_state(sig, b, n, ((), beta))
@@ -547,10 +547,95 @@ def test_memo_hit_on_equal_distinct_signature():
     s2 = make_signature(["a", "b"], [[-2, 1], [1, -2]])
     assert s1 is not s2
     x = vacuum_product(s1, (1, 1), -3, (1, -2))
-    tables = (fock._letter_kernel, fock._charge_rows)
+    tables = (fock._letter_step, fock._charge_rows)
     before = [t.cache_info() for t in tables]
     assert vacuum_product(s2, (1, 1), -3, (1, -2)) == x
     for t, b in zip(tables, before):
         after = t.cache_info()
         assert after.misses == b.misses and after.currsize == b.currsize
     assert tables[0].cache_info().hits == before[0].hits + 1
+
+
+def test_one_letter_product_hits_the_embedding_chain():
+    # embedding the word (a, m-j) + v applies v_a [m-j] to the image of v, which
+    # product_word(a(n), m, embed(v)) applies too, j = -n-1: the same letter step
+    rng = seeded(35)
+    done = 0
+    while done < 20:
+        sig = rng.choice(ORACLE_SIGS)
+        v = random_short_word(sig, rng)
+        a, n, m = rng.randrange(sig.size), rng.randint(-3, -1), rng.randint(-3, 1)
+        j = -n - 1
+        if not binomial(m, j) or word_deg2(sig, ((a, m - j),) + v) > 12:
+            continue
+        image = embed(sig, FreeElement({v: 1}))
+        if image.is_zero():
+            continue
+        expected = embed(sig, FreeElement({((a, m - j),) + v: 1}))
+        before = fock._letter_step.cache_info()
+        got = product_word(sig, charged_word(sig, ((a, n),)), m, image)
+        after = fock._letter_step.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 1
+        assert got == expected.scale(-binomial(m, j) if j & 1 else binomial(m, j))
+        done += 1
+
+
+def _random_combination(sig, rng):
+    """Nonzero integer numerators on 0-4 random states over a signed denominator."""
+    data = {_random_state(sig, rng, max_letters=2): rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 4))}
+    return data, rng.choice((-1, 1)) * rng.randint(1, 6)
+
+
+def _oracle_apply(sig, alpha, n, data, den):
+    out = fock.FOCK_ZERO
+    for st_, c in data.items():
+        out = out + _oracle_charged_state(sig, alpha, n, st_).scale(Fraction(c, den))
+    return out
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_apply_letter_against_recursion(sig):
+    # v_alpha [n] on a combination of states with mixed charges and degrees equals
+    # the sum of the recursion over its states, for either sign of the denominator
+    rng = seeded(36)
+    done = negative = empty = 0
+    while done < 40:
+        data, den = _random_combination(sig, rng)
+        alpha = tuple(rng.randint(-2, 2) for _ in range(sig.size))
+        n = rng.randint(-4, 3)
+        if data and max(_out_degree(sig, ((alpha, -1),), n, st_) for st_ in data) > 6:
+            continue
+        done += 1
+        negative += den < 0
+        empty += not data
+        rows = fock._charge_rows(sig, alpha)
+        nums, d = fock._apply_letter(rows, alpha, n, data, den)
+        assert fock._divide(nums, d) == _oracle_apply(sig, alpha, n, data, den)
+        assert fock._apply_letter(rows, alpha, n, {k: -c for k, c in data.items()}, -den) == (nums, d)
+    assert negative and empty
+    # a combination whose every state lies below degree zero
+    alpha = sig.unit_weight(0)
+    rows = fock._charge_rows(sig, alpha)
+    low = {((), alpha): 2, (((1, 0),), weight_neg(alpha)): -5}
+    n = max(_out_degree(sig, ((alpha, -1),), 0, st_) for st_ in low) + 1
+    assert all(_out_degree(sig, ((alpha, -1),), n, st_) < 0 for st_ in low)
+    assert fock._apply_letter(rows, alpha, n, low, -7)[0] == {}
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS[1:], ids=("free2", "neg", "A2"))
+def test_apply_letter_cancelling_numerators(sig):
+    # a(-1) v_beta and b(-1) v_beta weighted by -(alpha|b) and (alpha|a): the parts
+    # where the letter is contracted, v_alpha [n-1] v_beta, cancel in the sum
+    alpha, beta = sig.unit_weight(0), (1, -1)
+    rows = fock._charge_rows(sig, alpha)
+    pa, pb = rows[0]  # -(alpha|a), -(alpha|b)
+    assert pa and pb
+    data = {(((1, 0),), beta): pb, (((1, 1),), beta): -pa}
+    cancelled = 0
+    for n in range(-4, 1):
+        got = fock._divide(*fock._apply_letter(rows, alpha, n, data, 1))
+        assert got == _oracle_apply(sig, alpha, n, data, 1)
+        x = vacuum_product(sig, alpha, n, beta)
+        assert got == heis_act(sig, 0, -1, x).scale(pb) - heis_act(sig, 1, -1, x).scale(pa)
+        cancelled += not vacuum_product(sig, alpha, n - 1, beta).is_zero()
+    assert cancelled
