@@ -4,39 +4,37 @@ Charged vacua act through the lattice vertex operator
 Y(v_a, z) = eps e^a z^{a(0)} E^-(a, z) E^+(a, z) (Frenkel-Lepowsky-Meurman;
 Kac, Vertex Algebras for Beginners), read off in closed form: E^- gives
 Schur polynomials S_e(a) in the creation operators a(-j), and E^+ contracts
-each creation letter h(-k) of the right state to a power of z.  One step
-applies a single v_a [n] to a whole combination of states at once (vacuum
-products, charged products, one-letter words, the embedding of the free
-algebra letter by letter): it sums the contraction coefficients of every
-state by (kept letters, Schur degree, charge) and multiplies each distinct
-kept part by the Schur polynomial once.  A word kernel applies the image
-of a whole charged word a1(n1)...ak(nk) vac at once.  The general product
-of two states reads the vertex operator of the left state
+each creation letter h(-k) of the right state to a power of z.  Two steps
+act on a whole integer combination of states at once.  The letter step
+applies a single v_a [n] (vacuum products, charged products, one-letter
+words, the embedding of the free algebra letter by letter): it sums the
+contraction coefficients of every state by (kept letters, Schur degree,
+charge) and multiplies each distinct kept part by the Schur polynomial
+once.  The word step applies the image of a charged word a1(n1)...ak(nk)
+vac, k >= 2, the same way, with one Schur polynomial per letter.  The
+general product of two states reads the vertex operator of the left state
 h1(-k1)...hp(-kp) v_a as the normally ordered product of the derivatives
 of its Heisenberg fields with Y(v_a, z): each letter is created, or
 contracts with the right state, in one loop, and the rest goes through the
 letter step, one state at a time.
 
 Every kernel value is a pair (numerators, denom): a dict from state to
-nonzero int over one nonzero int denominator.  The word kernel puts the
-cocycle sign in the denominator; the letter step, whose states may carry
-different signs, puts it in the numerators.  A public product clears the
-denominators of its input once, combines kernel values over the lcm of
-their denominators in integers, and ends with one exact division.
+nonzero int over one positive int denominator.  Cocycle signs always sit in
+the numerators.  A public product clears the denominators of its input
+once, combines kernel values over the lcm of their denominators in
+integers, and ends with one exact division.
 
-Memo keys carry only what a value depends on.  The letter step reads the
-signature through two rows of the charge alpha, the pairing row -(alpha|g)
-and the cocycle parity row (eps is linear in the exponent of its second
-weight), so it is keyed by those rows, the mode and the combination as a
-frozenset of (state, numerator) items: signatures that agree on the rows
-share its entries.  The numerators are negated where the denominator is
-negative, so a combination has one key whatever the sign of its
-denominator; the reduced image of a word after each letter of the
-embedding and the cleared image `embed(v)` that a one-letter product
-receives are then the same key.  `_schur`, `_schur_product`,
-`_distributions` and `_compositions` never read a signature.  The word
-kernel, the word expansion and the embedding of a word stay keyed by the
-signature.
+Memo keys carry only what a value depends on, and the kernels read a
+signature only through `_charge_rows`: for each charge alpha, the pairing
+row -(alpha|g) and the cocycle parity row (eps is linear in the exponent of
+its second weight).  Both steps are keyed by the rows of their letters, the
+word or charge and modes, and the combination as a frozenset of (state,
+numerator) items, so signatures that agree on the rows share their entries,
+and the reduced image of a word after each letter of the embedding and the
+cleared image `embed(v)` that a one-letter product receives are the same
+key.  `_schur`, `_schur_product`, `_distributions` and `_compositions`
+never read a signature.  Only `_charge_rows` and the embedding of a word,
+`_embed_word`, are keyed by the signature.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -48,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .signature import (
     Signature,
@@ -216,7 +214,7 @@ def _merge(heis, mono):
 
 @cache
 def _charge_rows(sig: Signature, alpha: Weight) -> tuple:
-    """(pairing row, cocycle row) of a charge: all the single-letter kernel reads of sig.
+    """(pairing row, cocycle row) of a charge: all that the letter and word steps read of sig.
 
     The pairing row holds -(alpha|g) for every generator g, so that
     -(alpha|beta) = sum_g beta_g row[g].  `cocycle` is linear in the
@@ -322,14 +320,7 @@ def _combine(data: dict, den: int, kernel) -> tuple:
 
 
 def _apply_letter(rows: tuple, alpha: Weight, n: int, data: dict, den: int) -> tuple:
-    """v_alpha [n] on the integer combination data over den, as (numerators, denom).
-
-    The numerators are negated where den < 0, so that a combination has one
-    memo key whichever sign its denominator came with; the step's own
-    denominator is positive.
-    """
-    if den < 0:
-        data, den = {key: -c for key, c in data.items()}, -den
+    """v_alpha [n] on the integer combination data over den > 0, as (numerators, denom)."""
     nums, d = _letter_step(rows, alpha, n, frozenset(data.items()))
     return nums, d * den
 
@@ -407,44 +398,39 @@ def charged_word(sig: Signature, w: Word) -> CWord:
     return tuple((sig.unit_weight(g), n) for g, n in w)
 
 
-@cache
-def _word_expansion(sig: Signature, cw: CWord) -> tuple:
-    """The part of the word kernel that depends on the word alone.
+def _word_expansion(rows: tuple, cw: CWord) -> tuple:
+    """The part of the word step that depends on the word alone, read off the letters' rows.
 
-    Returns (d0, sign, terms).  d0 = -sum_i (n_i+1) - sum_{i<j} (a_i|a_j)
-    is the word's share of the output degree, sign = prod_{i<j} eps(a_i,a_j),
-    and terms holds pairs (t, b): b is the coefficient of
-    prod_i z_i^{-n_i-1-t_i} in prod_{i<j} (z_i - z_j)^{(a_i|a_j)}, expanded
-    for |z_i| > |z_j|.  The expansion indices s_ij are enumerated column by
+    Returns (d0, terms).  d0 = -sum_i (n_i+1) - sum_{i<j} (a_i|a_j) is the
+    word's share of the output degree, and terms holds pairs (t, b): b is
+    the coefficient of prod_i z_i^{-n_i-1-t_i} in
+    prod_{i<j} eps(a_i,a_j) (z_i - z_j)^{(a_i|a_j)}, expanded for
+    |z_i| > |z_j|.  The expansion indices s_ij are enumerated column by
     column, last variable first; each t_i = -n_i-1 - (exponent of z_i so
     far) must stay >= 0, which bounds every s_ij.
     """
     k = len(cw)
     alphas = [a for a, _ in cw]
-    pair = [[pairing(sig, alphas[i], alphas[j]) for j in range(k)] for i in range(k)]
-    sign = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            sign *= cocycle(sig, alphas[i], alphas[j])
+    pair = [[-sum(map(mul, alphas[j], rows[i][0])) for j in range(k)] for i in range(k)]
+    parity = sum(sum(map(mul, alphas[j], rows[i][1])) for i in range(k) for j in range(i + 1, k))
     room0 = [-n - 1 - sum(pair[i][i + 1 :]) for i, (_, n) in enumerate(cw)]
-    partial = [((0,) * k, (), 1)]  # (sum_{j>i} s_ij so far, t suffix, coefficient)
+    partial = [((0,) * k, (), -1 if parity & 1 else 1)]  # (sum_{j>i} s_ij so far, t suffix, coefficient)
     for i in reversed(range(k)):
-        rows = [(up, ts, b, room0[i] + up[i]) for up, ts, b in partial if room0[i] + up[i] >= 0]
+        live = [(up, ts, b, room0[i] + up[i]) for up, ts, b in partial if room0[i] + up[i] >= 0]
         for j in range(i):
             c = pair[j][i]
             nxt = []
-            for up, ts, b, room in rows:
+            for up, ts, b, room in live:
                 top = room if c < 0 else min(room, c)
                 for s in range(top + 1):
                     bs = binomial(c, s)
                     nxt.append((up[:j] + (up[j] + s,) + up[j + 1 :], ts, -b * bs if s & 1 else b * bs, room - s))
-            rows = nxt
-        partial = [(up, (room,) + ts, b) for up, ts, b, room in rows]
+            live = nxt
+        partial = [(up, (room,) + ts, b) for up, ts, b, room in live]
     terms = {}
     for _, ts, b in partial:
         terms[ts] = terms.get(ts, 0) + b
-    d0 = -sum(n + 1 for _, n in cw) - sum(pair[i][j] for i in range(k) for j in range(i + 1, k))
-    return d0, sign, tuple((ts, b) for ts, b in terms.items() if b)
+    return sum(room0), tuple((ts, b) for ts, b in terms.items() if b)
 
 
 @cache
@@ -469,8 +455,8 @@ def _schur_product(factors: tuple) -> tuple:
 
 
 @cache
-def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> tuple:
-    """(a1(n1)...ak(nk) vac) [m] st for a charged word of k >= 2 letters.
+def _word_step(rows: tuple, cw: CWord, m: int, items: frozenset) -> tuple:
+    """(a1(n1)...ak(nk) vac) [m] on the integer combination of the (state, int) items, k >= 2.
 
     The image of the word is Y(v_a1, w+z1)...Y(v_ak, w+zk) at the
     coefficient of prod z_i^{-n_i-1} w^{-m-1}: on st = h1(-k1)...hm(-km)
@@ -480,42 +466,53 @@ def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> tuple:
     with (w+z_i) expanded for |w| > |z_i|, and
     eps = prod_{i<j} eps(a_i,a_j) prod_i eps(a_i,beta).  The Schur degrees
     e_i of the E^- factors sum to the output degree minus the kept letters.
+    The signed contraction coefficients of every state are summed by (kept
+    letters, (a_i|beta) less the levels contracted with a_i, remaining
+    degree, charge) first; each group is spread over the Schur degrees e
+    into weights per (e, charge), and each of those meets the product of
+    the e_i! S_{e_i}(a_i) once.  rows[i] = _charge_rows(sig, a_i) is all it
+    reads of the signature.
     """
-    heis, beta = st
-    d0, sign, expansion = _word_expansion(sig, cw)
-    alphas = [a for a, _ in cw]
-    k = len(alphas)
-    negs = [_charge_rows(sig, a)[0] for a in alphas]
-    b = [-sum(map(mul, beta, neg)) for neg in negs]
-    degree = d0 - m - 1 - sum(b) + sum(level for level, _ in heis)
-    if degree < 0 or not expansion:
+    if not items:
         return _ZERO
-    sigmas = _contractions(negs, heis, degree)
-    weights = {}  # e -> kept -> integer weight
-    for kept, kdeg, shifts, c in sigmas:
-        bp = [b[i] - shifts[i] for i in range(k)]
-        for es in _compositions(degree - kdeg, k):
+    d0, expansion = _word_expansion(rows, cw)
+    if not expansion:
+        return _ZERO
+    negs = [pair for pair, _ in rows]
+    parity = [sum(col) for col in zip(*(par for _, par in rows))]
+    alphas = [a for a, _ in cw]
+    groups = {}
+    for (heis, beta), c in items:
+        b = [-sum(map(mul, beta, neg)) for neg in negs]
+        degree = d0 - m - 1 - sum(b) + sum(level for level, _ in heis)
+        if degree < 0:
+            continue
+        if sum(map(mul, beta, parity)) & 1:
+            c = -c
+        mu = tuple(map(sum, zip(beta, *alphas)))
+        for kept, kdeg, shifts, t in _contractions(negs, heis, degree):
+            key = (kept, tuple(map(sub, b, shifts)), degree - kdeg, mu)
+            groups[key] = groups.get(key, 0) + c * t
+    weights = {}  # (e, charge) -> kept -> integer weight
+    for (kept, bp, rest, mu), c in groups.items():
+        if not c:
+            continue
+        for es in _compositions(rest, len(alphas)):
             w = 0
             for ts, bt in expansion:
-                for i in range(k):
-                    x = binomial(es[i] + bp[i], ts[i])
-                    if not x:
+                for e, x, t in zip(es, bp, ts):
+                    f = binomial(e + x, t)
+                    if not f:
                         break
-                    bt *= x
+                    bt *= f
                 else:
                     w += bt
             if w:
-                row = weights.setdefault(es, {})
+                row = weights.setdefault((es, mu), {})
                 row[kept] = row.get(kept, 0) + c * w
-    if not weights:
-        return _ZERO
-    denom = factorial(max(sum(es) for es in weights))
-    mu = beta
-    for alpha in alphas:
-        mu = weight_add(mu, alpha)
-        sign *= cocycle(sig, alpha, beta)
+    denom = factorial(max((sum(es) for es, _ in weights), default=0))
     data = {}
-    for es, row in weights.items():
+    for (es, mu), row in weights.items():
         scale = denom
         factors = []
         for alpha, e in zip(alphas, es):
@@ -528,27 +525,29 @@ def _word_kernel(sig: Signature, cw: CWord, m: int, st: State) -> tuple:
             for mono, t in poly:
                 key = (_merge(kept, mono), mu)
                 data[key] = data.get(key, 0) + w * t
-    return _reduce(data, denom * sign)
+    return _reduce(data, denom)
 
 
 def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockElement:
     """Product of the image of a right-normed charged word with an element.
 
     A single letter a(n) vac is the divided power D^(j) v_a, j = -n-1, so
-    it acts as binom(m,j) (-1)^j v_a [m-j]; longer words go through the
-    word kernel.
+    it acts as (-1)^j binom(m,j) v_a [m-j] through the letter step; longer
+    words go through the word step.  Either step acts on the whole element.
     """
     if not cw:
         return x if m == -1 else FOCK_ZERO
+    data, den = _clear(x)
     if len(cw) == 1:
         alpha, n = cw[0]
         j = -n - 1
-        c = binomial(m, j) if j >= 0 else 0
+        c = (-1) ** j * binomial(m, j) if j >= 0 else 0
         if not c:
             return FOCK_ZERO
-        nums, d = _apply_letter(_charge_rows(sig, alpha), alpha, m - j, *_clear(x))
-        return _divide({key: c * t for key, t in nums.items()}, -d if j & 1 else d)
-    return _divide(*_combine(*_clear(x), lambda st: _word_kernel(sig, cw, m, st)))
+        nums, d = _apply_letter(_charge_rows(sig, alpha), alpha, m - j, data, den)
+        return _divide({key: c * t for key, t in nums.items()}, d)
+    nums, d = _word_step(tuple(_charge_rows(sig, a) for a, _ in cw), cw, m, frozenset(data.items()))
+    return _divide(nums, d * den)
 
 
 @cache

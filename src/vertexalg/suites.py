@@ -174,8 +174,6 @@ def verify_locfun(sig: Signature, lengths=(2, 3, 4)) -> SuiteReport:
             raise SignatureError("locality function requires nonnegative locality bounds")
     maxn = max(max(row) for row in sig.locality)
     report = SuiteReport("locfun")
-    if isinstance(lengths, int):
-        lengths = (lengths,)
     for l in lengths:
         s_formula = l * (l - 1) // 2 * maxn - l + 1
         cap = s_formula + 1

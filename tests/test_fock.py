@@ -581,9 +581,9 @@ def test_one_letter_product_hits_the_embedding_chain():
 
 
 def _random_combination(sig, rng):
-    """Nonzero integer numerators on 0-4 random states over a signed denominator."""
+    """Nonzero integer numerators on 0-4 random states over a positive denominator."""
     data = {_random_state(sig, rng, max_letters=2): rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 4))}
-    return data, rng.choice((-1, 1)) * rng.randint(1, 6)
+    return data, rng.randint(1, 6)
 
 
 def _oracle_apply(sig, alpha, n, data, den):
@@ -596,9 +596,9 @@ def _oracle_apply(sig, alpha, n, data, den):
 @pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
 def test_apply_letter_against_recursion(sig):
     # v_alpha [n] on a combination of states with mixed charges and degrees equals
-    # the sum of the recursion over its states, for either sign of the denominator
+    # the sum of the recursion over its states; both steps return a positive denominator
     rng = seeded(36)
-    done = negative = empty = 0
+    done = empty = 0
     while done < 40:
         data, den = _random_combination(sig, rng)
         alpha = tuple(rng.randint(-2, 2) for _ in range(sig.size))
@@ -606,20 +606,22 @@ def test_apply_letter_against_recursion(sig):
         if data and max(_out_degree(sig, ((alpha, -1),), n, st_) for st_ in data) > 6:
             continue
         done += 1
-        negative += den < 0
         empty += not data
         rows = fock._charge_rows(sig, alpha)
         nums, d = fock._apply_letter(rows, alpha, n, data, den)
         assert fock._divide(nums, d) == _oracle_apply(sig, alpha, n, data, den)
-        assert fock._apply_letter(rows, alpha, n, {k: -c for k, c in data.items()}, -den) == (nums, d)
-    assert negative and empty
+        assert d > 0
+        cw = ((alpha, n), (alpha, -1))
+        if not data or max(_out_degree(sig, cw, -1, st_) for st_ in data) <= 6:
+            assert fock._word_step((rows, rows), cw, -1, frozenset(data.items()))[1] > 0
+    assert empty
     # a combination whose every state lies below degree zero
     alpha = sig.unit_weight(0)
     rows = fock._charge_rows(sig, alpha)
     low = {((), alpha): 2, (((1, 0),), weight_neg(alpha)): -5}
     n = max(_out_degree(sig, ((alpha, -1),), 0, st_) for st_ in low) + 1
     assert all(_out_degree(sig, ((alpha, -1),), n, st_) < 0 for st_ in low)
-    assert fock._apply_letter(rows, alpha, n, low, -7)[0] == {}
+    assert fock._apply_letter(rows, alpha, n, low, 7)[0] == {}
 
 
 @pytest.mark.parametrize("sig", ORACLE_SIGS[1:], ids=("free2", "neg", "A2"))
@@ -639,3 +641,101 @@ def test_apply_letter_cancelling_numerators(sig):
         assert got == heis_act(sig, 0, -1, x).scale(pb) - heis_act(sig, 1, -1, x).scale(pa)
         cancelled += not vacuum_product(sig, alpha, n - 1, beta).is_zero()
     assert cancelled
+
+
+def _word_image(sig, cw):
+    """The image of a charged word, built letter by letter from the right."""
+    left = vacuum_element(sig)
+    for a, n in reversed(cw):
+        left = product_charged(sig, a, n, left)
+    return left
+
+
+def _word_rows(sig, cw):
+    return tuple(fock._charge_rows(sig, a) for a, _ in cw)
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_word_step_against_state_product(sig):
+    # the word step of k = 2 and 3 letters on an integer combination of states with
+    # mixed charges and degrees equals the sum of product_state over its states
+    rng = seeded(37)
+    done = {2: 0, 3: 0}
+    mixed = nonzero = 0
+    while min(done.values()) < 12:
+        cw = tuple(
+            (tuple(rng.randint(-1, 1) for _ in range(sig.size)), rng.randint(-3, 1))
+            for _ in range(rng.choice((2, 3)))
+        )
+        data, den = _random_combination(sig, rng)
+        m = rng.randint(-3, 2)
+        degrees = {_out_degree(sig, cw, m, st_) for st_ in data}
+        if not data or max(degrees) > 5:
+            continue
+        done[len(cw)] += 1
+        nums, d = fock._word_step(_word_rows(sig, cw), cw, m, frozenset(data.items()))
+        assert d > 0
+        got = fock._divide(nums, d * den)
+        left = _word_image(sig, cw)
+        expected = fock.FOCK_ZERO
+        for st_, c in data.items():
+            expected = expected + product_state(sig, left, m, fock.state_element(st_)).scale(Fraction(c, den))
+        assert got == expected
+        assert got == product_word(sig, cw, m, fock._divide(data, den))
+        mixed += len({st_[1] for st_ in data}) > 1 and len(degrees) > 1
+        nonzero += not got.is_zero()
+    assert mixed and nonzero
+    # the empty combination, and one whose every state lies below degree zero
+    cw = ((sig.unit_weight(0), -1), (sig.unit_weight(0), -2))
+    rows = _word_rows(sig, cw)
+    assert fock._word_step(rows, cw, -1, frozenset()) == ({}, 1)
+    low = {((), sig.unit_weight(0)): 2, (((1, 0),), sig.zero_weight()): -5}
+    m = max(_out_degree(sig, cw, 0, st_) for st_ in low) + 1
+    assert all(_out_degree(sig, cw, m, st_) < 0 for st_ in low)
+    assert fock._word_step(rows, cw, m, frozenset(low.items())) == ({}, 1)
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS[1:], ids=("free2", "neg", "A2"))
+def test_word_step_cancelling_numerators(sig):
+    # under a word of one repeated charge alpha, a(-1) v_beta and b(-1) v_beta weighted
+    # by -(alpha|b) and (alpha|a) contract to the same part with opposite signs
+    alpha, beta = sig.unit_weight(0), (1, -1)
+    pa, pb = fock._charge_rows(sig, alpha)[0]  # -(alpha|a), -(alpha|b)
+    assert pa and pb
+    single = {(((1, 0),), beta): 1}
+    data = {(((1, 0),), beta): pb, (((1, 1),), beta): -pa}
+    cancelled = 0
+    for cw in (((alpha, -3), (alpha, -1)), ((alpha, -5), (alpha, -3), (alpha, -1))):
+        rows = _word_rows(sig, cw)
+        top = _out_degree(sig, cw, 0, ((), beta))  # the vacuum's output degree at m = 0
+        for m in range(top - 3, top + 1):
+            got = fock._divide(*fock._word_step(rows, cw, m, frozenset(data.items())))
+            x = product_word(sig, cw, m, vacuum_element(sig, beta))
+            assert got == heis_act(sig, 0, -1, x).scale(pb) - heis_act(sig, 1, -1, x).scale(pa)
+            assert got == product_state(sig, _word_image(sig, cw), m, FockElement(data))
+            one = fock._divide(*fock._word_step(rows, cw, m, frozenset(single.items())))
+            cancelled += one != heis_act(sig, 0, -1, x)
+    assert cancelled
+
+
+def test_word_step_shared_by_equal_charge_rows():
+    # the word step is keyed by its letters' rows: b and 2b have the same pairing and
+    # cocycle rows under s1 and same, and b's parity row differs under other
+    b, b2, beta = (0, 1), (0, 2), (1, 0)
+    s1 = make_signature(["a", "b"], [[-2, 0], [0, -1]])
+    same = make_signature(["a", "b"], [[0, 0], [0, -1]])
+    other = make_signature(["a", "b"], [[-1, 0], [0, -1]])
+    cw, m = ((b, -4), (b2, -3)), -1
+    assert _word_rows(s1, cw) == _word_rows(same, cw) != _word_rows(other, cw)
+    v = vacuum_element(s1, beta)
+    x = product_word(s1, cw, m, v)
+    assert not x.is_zero()
+    before = fock._word_step.cache_info()
+    assert product_word(same, cw, m, v) == x
+    after = fock._word_step.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+    y = product_word(other, cw, m, v)
+    assert fock._word_step.cache_info().misses == after.misses + 1
+    assert y == -x
+    for sig, got in ((s1, x), (same, x), (other, y)):
+        assert got == product_state(sig, _word_image(sig, cw), m, v)
