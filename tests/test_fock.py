@@ -398,8 +398,8 @@ def test_charged_kernel_against_recursion(sig):
 
 @pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
 def test_word_kernel_against_state_product(sig):
-    # the word kernel against product_state, the closed form of the general
-    # product, on the left state built letter by letter
+    # product_word through the word step, on single states, against product_state,
+    # the closed form of the general product, on the left state built letter by letter
     rng = seeded(32)
     done = 0
     while done < 40:
@@ -411,13 +411,10 @@ def test_word_kernel_against_state_product(sig):
         m = rng.randint(-3, 2)
         if _out_degree(sig, cw, m, st_) > 5:
             continue
-        left = vacuum_element(sig)
-        for a, n in reversed(cw):
-            left = product_charged(sig, a, n, left)
         y = fock.state_element(st_)
         got = product_word(sig, cw, m, y)
         done += not got.is_zero()
-        assert got == product_state(sig, left, m, y)
+        assert got == product_state(sig, _word_image(sig, cw), m, y)
 
 
 @pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
