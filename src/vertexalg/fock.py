@@ -12,11 +12,14 @@ contraction coefficients of every state by (kept letters, Schur degree,
 charge) and multiplies each distinct kept part by the Schur polynomial
 once.  The word step applies the image of a charged word a1(n1)...ak(nk)
 vac, k >= 2, the same way, with one Schur polynomial per letter.  The
-general product of two states reads the vertex operator of the left state
+general product reads the vertex operator of a left state
 h1(-k1)...hp(-kp) v_a as the normally ordered product of the derivatives
 of its Heisenberg fields with Y(v_a, z): each letter is created, or
-contracts with the right state, in one loop, and the rest goes through the
-letter step, one state at a time.
+contracts with the right state, in one loop.  Every pair of states of the
+two elements adds its coefficients to one table keyed by (left charge,
+created letters, mode), whose values are combinations of the remaining
+right states; each entry meets the letter step once, and its created
+letters join the step's output after it.
 
 Every kernel value is a pair (numerators, denom): a dict from state to
 nonzero int over one positive int denominator.  Cocycle signs always sit in
@@ -24,17 +27,21 @@ the numerators.  A public product clears the denominators of its input
 once, combines kernel values over the lcm of their denominators in
 integers, and ends with one exact division.
 
-Memo keys carry only what a value depends on, and the kernels read a
-signature only through `_charge_rows`: for each charge alpha, the pairing
-row -(alpha|g) and the cocycle parity row (eps is linear in the exponent of
-its second weight).  Both steps are keyed by the rows of their letters, the
-word or charge and modes, and the combination as a frozenset of (state,
-numerator) items, so signatures that agree on the rows share their entries,
-and the reduced image of a word after each letter of the embedding and the
-cleared image `embed(v)` that a one-letter product receives are the same
-key.  `_schur`, `_schur_product`, `_distributions` and `_compositions`
-never read a signature.  Only `_charge_rows` and the embedding of a word,
-`_embed_word`, are keyed by the signature.
+Memo keys carry only what a value depends on, and no kernel of a product
+reads a `Signature` outside `_charge_rows`: for each charge alpha, the
+pairing row -(alpha|g) and the cocycle parity row (eps is linear in the
+exponent of its second weight).  The general product's coefficient table,
+which is not memoized, reads only the locality matrix.  Both steps are
+keyed by the rows of their letters, the word or charge and modes, and the
+combination as a frozenset of (state, numerator) items, so signatures that
+agree on the rows share their entries, the reduced image of a word after
+each letter of the embedding and the cleared image `embed(v)` that a
+one-letter product receives are the same key, and so are a right element
+that `product_charged` receives and the one group a left charged vacuum
+makes of it in the general product.  `_schur`, `_schur_product`,
+`_distributions` and `_compositions` never read a signature.  Only
+`_charge_rows` and the embedding of a word, `_embed_word`, are keyed by the
+signature.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -568,26 +575,30 @@ def embed(sig: Signature, x: FreeElement) -> FockElement:
 # --- general products of states ------------------------------------------------
 
 
-def _state_kernel(sig: Signature, u: State, m: int, st: State) -> tuple:
-    """u [m] st for two states, in closed form (Frenkel-Lepowsky-Meurman; Kac).
+def _state_kernel(loc, u: State, m: int, st: State, c: int, groups: dict) -> None:
+    """Add c * (u [m] st) to groups, in closed form (Frenkel-Lepowsky-Meurman; Kac).
 
     Y(h1(-k1)...hp(-kp) v_alpha, w) = :d^(k1-1)h1(w) ... d^(kp-1)hp(w) Y(v_alpha, w):
     with d^(k-1)h(w) = sum_n C(-n-1, k-1) h(n) w^{-n-k}.  Each letter h(-k) is,
     in turn, created as h(-j), j >= k, with C(j-1, k-1) and power j-k of w; or
     its h(0) gives (-1)^(k-1) (h|beta), power -k; or its h(n), n >= 1, removes
     a letter h'(-n) of st with C(-n-1, k-1) n (h|h') times that letter's
-    multiplicity, power -n-k.  The rest of st goes through the single-letter
-    kernel at mode m plus the total power.  The created levels are capped so
-    that its degree can stay >= 0 after the lowest power later letters give.
+    multiplicity, power -n-k.  The rest of st meets v_alpha at mode m plus
+    the total power, so u [m] st is the sum over the keys (alpha, created
+    letters, mode) of groups of the created letters times v_alpha [mode] on
+    the key's integer combination of (rest, beta) states.  The created levels
+    are capped so that its degree can stay >= 0 after the lowest power later
+    letters give.  It reads the forms (h|beta), (h|h') and (alpha|beta) off
+    the locality matrix loc and applies no step.
     """
     uheis, alpha = u
     heis, beta = st
-    hb = [-sum(b * n for b, n in zip(beta, row)) for row in sig.locality]  # (h|beta)
-    acts = [f or any(row[g] for _, g in heis) for f, row in zip(hb, sig.locality)]  # h(n), n >= 0, on st
+    hb = [-sum(b * n for b, n in zip(beta, row)) for row in loc]  # (h|beta)
+    acts = [f or any(row[g] for _, g in heis) for f, row in zip(hb, loc)]  # h(n), n >= 0, on st
     level = sum(k for k, _ in uheis) + sum(k for k, _ in heis)
     # the largest level the created letters may reach; it grows by k with each letter that can only be created
-    cap = -m - 1 - pairing(sig, alpha, beta) + level - sum(k for k, h in uheis if not acts[h])
-    out = {((), 0, heis): 1}  # (created letters, their level, rest of st) -> coefficient
+    cap = -m - 1 - sum(map(mul, alpha, hb)) + level - sum(k for k, h in uheis if not acts[h])
+    out = {((), 0, heis): c}  # (created letters, their level, rest of st) -> coefficient
     for k, h in uheis:
         cap += 0 if acts[h] else k
         nxt = {}
@@ -600,32 +611,37 @@ def _state_kernel(sig: Signature, u: State, m: int, st: State) -> tuple:
                 nxt[key] = nxt.get(key, 0) + (-c if k & 1 == 0 else c) * hb[h]
             for idx, letter in enumerate(rest if acts[h] else ()):
                 n, g = letter
-                f = sig.gram(h, g)
+                f = -loc[h][g]  # (h|h')
                 if f and (not idx or rest[idx - 1] != letter):
                     key = (created, cdeg, rest[:idx] + rest[idx + 1 :])
                     f *= binomial(-n - 1, k - 1) * n * rest.count(letter)
                     nxt[key] = nxt.get(key, 0) + c * f
         out = nxt
-    data = {}
-    for (created, cdeg, rest), c in out.items():
-        if c:
-            data[created, m + cdeg - level + sum(k for k, _ in rest), rest] = c
-    rows = _charge_rows(sig, alpha)
-
-    def kernel(key):
-        created, n, rest = key
-        nums, d = _apply_letter(rows, alpha, n, {(rest, beta): 1}, 1)
-        return {(_merge(kept, created), mu): t for (kept, mu), t in nums.items()}, d
-
-    return _combine(data, 1, kernel)
+    for (created, cdeg, rest), c in out.items():  # product_state drops zeros with the cancellations across pairs
+        group = groups.setdefault((alpha, created, m + cdeg - level + sum(k for k, _ in rest)), {})
+        group[rest, beta] = group.get((rest, beta), 0) + c
 
 
 def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> FockElement:
-    """General bilinear product x [n] y of Fock elements."""
-    dx, denx = _clear(x)
-    dy, deny = _clear(y)
-    data = {(s1, s2): c1 * c2 for s1, c1 in dx.items() for s2, c2 in dy.items()}
-    return _divide(*_combine(data, denx * deny, lambda key: _state_kernel(sig, key[0], n, key[1])))
+    """General bilinear product x [n] y of Fock elements.
+
+    Every pair of states adds its (alpha, created, mode) groups into one
+    table; each group meets the letter step once, and its created letters
+    join each output state.
+    """
+    (dx, denx), (dy, deny) = _clear(x), _clear(y)
+    groups = {}
+    for u, c1 in dx.items():
+        for st, c2 in dy.items():
+            _state_kernel(sig.locality, u, n, st, c1 * c2, groups)
+
+    def kernel(key):
+        alpha, created, mode = key
+        data = {st: c for st, c in groups[key].items() if c}
+        nums, d = _apply_letter(_charge_rows(sig, alpha), alpha, mode, data, 1) if data else _ZERO
+        return {(_merge(kept, created), mu): t for (kept, mu), t in nums.items()}, d
+
+    return _divide(*_combine(dict.fromkeys(groups, 1), denx * deny, kernel))
 
 
 # --- exact rank --------------------------------------------------------------

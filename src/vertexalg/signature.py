@@ -78,6 +78,10 @@ class Signature:
 
 def make_signature(generators, locality) -> Signature:
     """Validate and build a Signature from a name list and a matrix."""
+    if not isinstance(generators, (list, tuple)):
+        raise SignatureError("generators must be a list of names")
+    if not isinstance(locality, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in locality):
+        raise SignatureError("locality must be a matrix of integers")
     names = tuple(str(g) for g in generators)
     if len(set(names)) != len(names):
         raise SignatureError("duplicate generator name")
@@ -88,7 +92,7 @@ def make_signature(generators, locality) -> Signature:
         raise SignatureError("locality matrix size does not match generator list")
     for row in rows:
         for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if not _is_int(x):
                 raise SignatureError(f"locality entries must be integers, got {x!r}")
     for i in range(len(names)):
         for j in range(i):
@@ -120,7 +124,7 @@ def load_lattice(doc) -> Signature:
         raise SignatureError("lattice configuration needs 'generators' and 'gram'")
     gram = obj["gram"]
     try:
-        locality = [[-int(x) if isinstance(x, int) else _bad(x) for x in row] for row in gram]
+        locality = [[-x if _is_int(x) else _bad(x) for x in row] for row in gram]
     except TypeError:
         raise SignatureError("gram must be a matrix of integers") from None
     return make_signature(obj["generators"], locality)
@@ -134,6 +138,10 @@ def load_config(doc) -> Signature:
     if "gram" in obj:
         return load_lattice(obj)
     raise SignatureError("configuration needs a 'locality' or 'gram' matrix")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _bad(x):

@@ -736,3 +736,81 @@ def test_word_step_shared_by_equal_charge_rows():
     assert y == -x
     for sig, got in ((s1, x), (same, x), (other, y)):
         assert got == product_state(sig, _word_image(sig, cw), m, v)
+
+
+def _state_groups(sig, pairs, m):
+    """The (alpha, created, mode) groups of the state kernel over the integer-weighted pairs."""
+    groups = {}
+    for (u, st_), c in pairs.items():
+        fock._state_kernel(sig.locality, u, m, st_, c, groups)
+    return groups
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_state_product_of_combinations_against_recursion(sig):
+    # x [m] y on combinations of 2-3 states with mixed charges and Fraction
+    # coefficients equals the Fraction sum of the recursion over all pairs
+    rng = seeded(38)
+    done = shared = mixed = nonzero = 0
+    while done < 15:
+        x = _random_fock(sig, rng, nstates=rng.randint(2, 3))
+        y = _random_fock(sig, rng, nstates=rng.randint(2, 3))
+        m = rng.randint(-3, 2)
+        levels = [sum(k for k, _ in u[0]) + _out_degree(sig, ((u[1], -1),), m, st_) for u in x.terms for st_ in y.terms]
+        if max(levels) > 6:
+            continue
+        done += 1
+        pairs = {(u, st_): c1 * c2 for u, c1 in x.terms.items() for st_, c2 in y.terms.items()}
+        got = product_state(sig, x, m, y)
+        assert got == _fraction_sum(lambda p: _oracle_state_product(sig, p[0], m, p[1]), pairs)
+        assert _exact_types(got)
+        nonzero += not got.is_zero()
+        mixed += len({u[1] for u in x.terms}) > 1 and len({st_[1] for st_ in y.terms}) > 1
+        # pairs that land in one group: fewer groups than the pairs make apart
+        apart = sum(len(_state_groups(sig, {p: 1}, m)) for p in pairs)
+        shared += len(_state_groups(sig, dict.fromkeys(pairs, 1), m)) < apart
+    assert shared and mixed and nonzero >= 10
+    for z in (x, y):
+        assert product_state(sig, fock.FOCK_ZERO, m, z).is_zero()
+        assert product_state(sig, z, m, fock.FOCK_ZERO).is_zero()
+    # a(-2) v_alpha and a(-1)a(-1) v_alpha, weighted by (a|beta) and 1, send
+    # -(a|beta)^2 and (a|beta)^2 times each right state of charge beta, kept
+    # whole, to the group (alpha, (), m-2): the group cancels
+    alpha, beta = tuple(rng.randint(-1, 1) for _ in range(sig.size)), sig.unit_weight(0)
+    ab = pairing(sig, sig.unit_weight(0), beta)
+    assert ab
+    q = Fraction(2, 3)
+    x = FockElement({(((2, 0),), alpha): ab * q, (((1, 0), (1, 0)), alpha): q})
+    y = FockElement({((), beta): Fraction(-5, 4), (((2, 0),), beta): Fraction(1, 2)})
+    cancelled = 0
+    for m in range(-4, 2):
+        pairs = {(u, st_): c1 * c2 for u, c1 in x.terms.items() for st_, c2 in y.terms.items()}
+        got = product_state(sig, x, m, y)
+        assert got == _fraction_sum(lambda p: _oracle_state_product(sig, p[0], m, p[1]), pairs)
+        cleared = {(u, st_): c1 * c2 for u, c1 in fock._clear(x)[0].items() for st_, c2 in fock._clear(y)[0].items()}
+        group = _state_groups(sig, cleared, m)[alpha, (), m - 2]
+        assert set(group) == set(y.terms) and not any(group.values())
+        cancelled += not vacuum_product(sig, alpha, m - 2, beta).is_zero()
+    assert cancelled
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_left_charged_vacuum_shares_the_letter_step(sig):
+    # v_alpha [n] x as a general product puts all of x into one group, the
+    # letter-step key that product_charged(sig, alpha, n, x) makes
+    rng = seeded(39)
+    done = nonzero = 0
+    while done < 12:
+        x = _random_fock(sig, rng, nstates=rng.randint(2, 4))
+        alpha = tuple(rng.randint(-2, 2) for _ in range(sig.size))
+        n = rng.randint(-4, 1)
+        if max(_out_degree(sig, ((alpha, -1),), n, st_) for st_ in x.terms) > 6:
+            continue
+        done += 1
+        expected = product_charged(sig, alpha, n, x)
+        before = fock._letter_step.cache_info()
+        assert product_state(sig, vacuum_element(sig, alpha), n, x) == expected
+        after = fock._letter_step.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 1
+        nonzero += not expected.is_zero()
+    assert nonzero

@@ -158,6 +158,36 @@ def test_cli_validation_error_exit(tmp_path, capsys):
     assert cli.run(["basis", str(tmp_path / "missing.cfg"), "a", "0"]) == 2
 
 
+MALFORMED_CONFIGS = (
+    '{"generators": null, "locality": [[1]]}',
+    '{"generators": 5, "locality": [[1]]}',
+    '{"generators": ["a"], "locality": null}',
+    '{"generators": ["a"], "locality": 5}',
+    '{"generators": ["a"], "locality": [5]}',
+    '{"generators": ["a"], "gram": [[true]]}',
+)
+
+
+def test_cli_malformed_configuration_exit(tmp_path, capsys):
+    # malformed shapes and a boolean Gram entry are validation errors (exit 2), not tracebacks
+    bad = tmp_path / "bad.cfg"
+    for doc in MALFORMED_CONFIGS:
+        bad.write_text(doc)
+        assert cli.run(["basis", str(bad), "a", "0"]) == 2, doc
+        assert capsys.readouterr().err.startswith("validation error: "), doc
+    env = dict(os.environ, PYTHONPATH=str(Path(vertexalg.__file__).parents[1]))
+    bad.write_text(MALFORMED_CONFIGS[0])
+    proc = subprocess.run(
+        [sys.executable, "-m", "vertexalg.cli", "embed", str(bad), "a(-1)vac"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "validation error: generators must be a list of names\n"
+
+
 @pytest.mark.parametrize(
     "exc", (StepBudgetExceeded("rewriting step budget exceeded"), RecursionError("maximum recursion depth exceeded"))
 )

@@ -44,11 +44,43 @@ def test_odd_diagonal_accepted():
         '{"generators": ["a"], "locality": [[1, 2]]}',
         '{"generators": ["a"]}',
         "not json",
+        '{"generators": null, "locality": [[1]]}',
+        '{"generators": 5, "locality": [[1]]}',
+        '{"generators": ["a"], "locality": null}',
+        '{"generators": ["a"], "locality": 5}',
+        '{"generators": ["a"], "locality": [5]}',
+        '{"generators": ["a"], "locality": [[true]]}',
     ],
 )
 def test_invalid_configurations_rejected(doc):
     with pytest.raises(SignatureError):
         load_signature(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"generators": ["a"], "gram": [[true]]}',
+        '{"generators": ["a", "b"], "gram": [[2, false], [false, 2]]}',
+        '{"generators": null, "gram": [[1]]}',
+        '{"generators": ["a"], "gram": null}',
+        '{"generators": ["a"], "gram": [5]}',
+        '{"generators": ["a"], "gram": [[1.0]]}',
+    ],
+)
+def test_invalid_lattice_configurations_rejected(doc):
+    # a JSON boolean is a Python int, but not a Gram entry
+    with pytest.raises(SignatureError):
+        load_lattice(doc)
+    with pytest.raises(SignatureError):
+        load_config(doc)
+
+
+def test_make_signature_rejects_malformed_shapes():
+    for generators, locality in ((None, [[1]]), (5, [[1]]), (["a"], None), (["a"], 5), (["a"], [5])):
+        with pytest.raises(SignatureError):
+            make_signature(generators, locality)
+    assert make_signature(("a",), ((1,),)) == make_signature(["a"], [[1]])
 
 
 def test_load_lattice_negates_gram():
