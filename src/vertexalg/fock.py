@@ -10,8 +10,13 @@ applies a single v_a [n] (vacuum products, charged products, one-letter
 words, the embedding of the free algebra letter by letter): it sums the
 contraction coefficients of every state by (kept letters, Schur degree,
 charge) and multiplies each distinct kept part by the Schur polynomial
-once.  The word step applies the image of a charged word a1(n1)...ak(nk)
-vac, k >= 2, the same way, with one Schur polynomial per letter.  The
+once.  Its contractions (`_kept_parts`) keep r of each run of equal
+letters with one binomial coefficient and read no shifts of powers of z.
+`locality_order` scans the modes of one charged product through the letter
+step on one key and reads only whether each value is zero.  The word step
+applies the image of a charged word a1(n1)...ak(nk) vac, k >= 2, the same
+way, with one Schur polynomial per letter; its contractions
+(`_contractions`) also record the levels contracted with each letter.  The
 general product reads the vertex operator of a left state
 h1(-k1)...hp(-kp) v_a as the normally ordered product of the derivatives
 of its Heisenberg fields with Y(v_a, z): each letter is created, or
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul, sub
 
 from .signature import (
@@ -237,6 +242,41 @@ def _charge_rows(sig: Signature, alpha: Weight) -> tuple:
     return pair, parity
 
 
+def _runs(heis) -> list:
+    """The runs of equal letters of a sorted heis, as [letter, multiplicity]."""
+    runs = []
+    for letter in heis:
+        if runs and runs[-1][0] == letter:
+            runs[-1][1] += 1
+        else:
+            runs.append([letter, 1])
+    return runs
+
+
+def _kept_parts(pair, heis, limit: int) -> list:
+    """The E^+ contractions of the creation letters of heis with one charge of pairing row pair.
+
+    Of a run of mult equal letters h(-k), r are kept and mult - r contract,
+    for binomial(mult, r) (-(alpha|h))^(mult - r); with pair[h] = 0 all are
+    kept.  Returns (kept, kept degree, coefficient) for every choice whose
+    kept letters have degree at most limit, in the order of `_contractions`
+    with the shifts left out.
+    """
+    out = [((), 0, 1)]
+    for letter, mult in _runs(heis):
+        level, g = letter
+        f = pair[g]
+        rs = range(mult, -1, -1) if f else (mult,)
+        choices = [((letter,) * r, level * r, comb(mult, r) * f ** (mult - r)) for r in rs]
+        out = [
+            (kept + part, kdeg + pdeg, c * t)
+            for kept, kdeg, c in out
+            for part, pdeg, t in choices
+            if kdeg + pdeg <= limit
+        ]
+    return out
+
+
 def _contractions(negs, heis, limit: int) -> list:
     """The E^+ contractions of the creation letters of heis with charges of pairing rows negs.
 
@@ -247,15 +287,7 @@ def _contractions(negs, heis, limit: int) -> list:
     most limit.
     """
     out = [((), 0, (0,) * len(negs), 1)]
-    if not heis:
-        return out
-    runs = []
-    for letter in heis:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    for (level, g), mult in runs:
+    for (level, g), mult in _runs(heis):
         fs = [f[g] for f in negs]
         hit = [i for i, f in enumerate(fs) if f]
         nxt = []
@@ -354,7 +386,7 @@ def _letter_step(rows: tuple, alpha: Weight, n: int, items: frozenset) -> tuple:
         if sum(map(mul, beta, parity)) & 1:
             c = -c
         mu = weight_add(alpha, beta)
-        for kept, kdeg, _, t in _contractions((pair,), heis, degree):
+        for kept, kdeg, t in _kept_parts(pair, heis, degree):
             key = (kept, degree - kdeg, mu)
             groups[key] = groups.get(key, 0) + c * t
     groups = {key: c for key, c in groups.items() if c}
@@ -384,14 +416,25 @@ def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
     """Sound upper bound L with v_alpha [n] x = 0 for all n >= L.
 
     N(v_a, v_b) = -(a|b), and each creation letter of level k raises the
-    order by at most k.
+    order by at most k.  -(alpha|beta) is read off the pairing row of alpha.
     """
-    best = None
-    for (heis, charge) in x.terms:
-        val = -pairing(sig, alpha, charge) + sum(k for k, _ in heis)
-        if best is None or val > best:
-            best = val
-    return best if best is not None else 0
+    pair = _charge_rows(sig, alpha)[0]
+    return max((sum(map(mul, beta, pair)) + sum(k for k, _ in heis) for heis, beta in x.terms), default=0)
+
+
+def locality_order(sig: Signature, alpha: Weight, x: FockElement, lowest: int) -> int | None:
+    """m + 1 for the largest m in [lowest, locality_upper) with v_alpha [m] x != 0, else None.
+
+    Every mode is the full closed-form product: the letter step on the key
+    that `product_charged(sig, alpha, m, x)` makes, of which only whether
+    its numerators are empty is read.
+    """
+    rows = _charge_rows(sig, alpha)
+    items = frozenset(_clear(x)[0].items())
+    for m in range(locality_upper(sig, alpha, x) - 1, lowest - 1, -1):
+        if _letter_step(rows, alpha, m, items)[0]:
+            return m + 1
+    return None
 
 
 # --- products with word-shaped left factors ---------------------------------

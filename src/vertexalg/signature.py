@@ -77,12 +77,19 @@ class Signature:
 
 
 def make_signature(generators, locality) -> Signature:
-    """Validate and build a Signature from a name list and a matrix."""
+    """Validate and build a Signature from a name list and a matrix.
+
+    A name is a string that the expression grammar reads as one identifier:
+    a letter or `_`, then letters, digits or `_`, and not `vac`.
+    """
     if not isinstance(generators, (list, tuple)):
         raise SignatureError("generators must be a list of names")
     if not isinstance(locality, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in locality):
         raise SignatureError("locality must be a matrix of integers")
-    names = tuple(str(g) for g in generators)
+    for g in generators:
+        if not _is_name(g):
+            raise SignatureError(f"generator names must be identifiers other than 'vac', got {g!r}")
+    names = tuple(generators)
     if len(set(names)) != len(names):
         raise SignatureError("duplicate generator name")
     if not names:
@@ -104,7 +111,7 @@ def make_signature(generators, locality) -> Signature:
 def load_signature(doc) -> Signature:
     """Load a signature from a JSON document (text or parsed object).
 
-    Expected keys: `generators` (array of strings, defines the order) and
+    Expected keys: `generators` (array of names, defines the order) and
     `locality` (square symmetric array of arrays of integers).
     """
     obj = _parse_doc(doc)
@@ -138,6 +145,16 @@ def load_config(doc) -> Signature:
     if "gram" in obj:
         return load_lattice(obj)
     raise SignatureError("configuration needs a 'locality' or 'gram' matrix")
+
+
+def _is_name(x) -> bool:
+    """x reads as one identifier token of the expression grammar, and is not `vac`."""
+    return (
+        isinstance(x, str)
+        and x != "vac"
+        and (x[:1].isalpha() or x[:1] == "_")
+        and all(ch.isalnum() or ch == "_" for ch in x)
+    )
 
 
 def _is_int(x) -> bool:

@@ -128,12 +128,7 @@ def verify_dong(sig: Signature, k_max: int = 4) -> SuiteReport:
                         report.add(cid, "nonzero product", "0", status="skip")
                         continue
                     expected = dong_locality(sig, a, b, c, k)
-                    upper = fock.locality_upper(sig, gamma, y)
-                    true_order = None
-                    for m in range(upper - 1, expected - 2, -1):
-                        if not fock.product_charged(sig, gamma, m, y).is_zero():
-                            true_order = m + 1
-                            break
+                    true_order = fock.locality_order(sig, gamma, y, expected - 1)
                     if true_order is None:
                         true_order = f"< {expected}"
                     report.add(cid, expected, true_order, true_order == expected)

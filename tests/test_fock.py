@@ -814,3 +814,64 @@ def test_left_charged_vacuum_shares_the_letter_step(sig):
         assert after.misses == before.misses and after.hits == before.hits + 1
         nonzero += not expected.is_zero()
     assert nonzero
+
+
+def _scan_order(sig, alpha, x, lowest):
+    """m + 1 for the largest m >= lowest with v_alpha [m] x != 0, scanning down from above the bound."""
+    for m in range(locality_upper(sig, alpha, x) + 1, lowest - 1, -1):
+        if not product_charged(sig, alpha, m, x).is_zero():
+            return m + 1
+    return None
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_locality_order_matches_scan(sig):
+    # random elements with Fraction coefficients and mixed charges, the zero
+    # element, and an element whose top mode cancels; for each, lowest at the
+    # order's mode, just above it, at and above the bound, and below; the scan
+    # visits every letter-step key locality_order makes, so it adds no miss
+    rng = seeded(41)
+    alpha = sig.unit_weight(0)
+    f = fock._charge_rows(sig, alpha)[0][0]  # -(a|a)
+    assert f
+    beta = tuple(rng.randint(-1, 1) for _ in range(sig.size))
+    # the top mode contracts every letter: f * a(-2) v_beta and a(-1)^2 v_beta both give f^2 v_{alpha+beta}
+    cancel = FockElement({(((2, 0),), beta): f, (((1, 0), (1, 0)), beta): -1})
+    cases = [(alpha, cancel), (alpha, fock.FOCK_ZERO)]
+    while len(cases) < 16:
+        x = _random_fock(sig, rng, nstates=rng.randint(1, 4))
+        a = tuple(rng.randint(-1, 1) for _ in range(sig.size))
+        if max(_out_degree(sig, ((a, -1),), locality_upper(sig, a, x) - 8, st_) for st_ in x.terms) <= 8:
+            cases.append((a, x))
+    below = 0
+    for a, x in cases:
+        upper = locality_upper(sig, a, x)
+        order = _scan_order(sig, a, x, upper - 8)
+        below += order is not None and order < upper
+        lows = {upper - 8, upper - 1, upper, upper + 2, rng.randint(upper - 6, upper)}
+        if order is not None:
+            lows |= {order - 1, order}
+        for lowest in sorted(lows):
+            expected = _scan_order(sig, a, x, lowest)
+            before = fock._letter_step.cache_info().misses
+            assert fock.locality_order(sig, a, x, lowest) == expected, (a, x, lowest)
+            assert fock._letter_step.cache_info().misses == before
+    assert fock.locality_order(sig, alpha, fock.FOCK_ZERO, -5) is None
+    top = locality_upper(sig, alpha, cancel) - 1
+    assert product_charged(sig, alpha, top, cancel).is_zero()
+    for st_, c in cancel.terms.items():
+        assert not product_charged(sig, alpha, top, FockElement({st_: c})).is_zero()
+    assert below
+
+
+def test_kept_parts_match_contractions():
+    # the letter step's contractions are _contractions of one pairing row with the
+    # shifts dropped, in the same order, for every limit from -1 to the total level
+    rng = seeded(43)
+    for _ in range(150):
+        size = rng.randint(1, 3)
+        pair = tuple(rng.choice((-2, -1, 0, 0, 1, 2, 3)) for _ in range(size))
+        heis = tuple(sorted((rng.randint(1, 3), rng.randrange(size)) for _ in range(rng.randint(0, 7))))
+        for limit in range(-1, sum(k for k, _ in heis) + 1):
+            shifted = fock._contractions((pair,), heis, limit)
+            assert fock._kept_parts(pair, heis, limit) == [(k, d, c) for k, d, _, c in shifted]

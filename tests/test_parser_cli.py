@@ -165,6 +165,7 @@ MALFORMED_CONFIGS = (
     '{"generators": ["a"], "locality": 5}',
     '{"generators": ["a"], "locality": [5]}',
     '{"generators": ["a"], "gram": [[true]]}',
+    '{"generators": [null], "locality": [[-1]]}',
 )
 
 

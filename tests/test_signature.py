@@ -13,6 +13,7 @@ from vertexalg import (
     pairing,
     weight_parity,
 )
+from vertexalg.parser import _tokenize
 from vertexalg.signature import load_lattice, weight_add
 
 from conftest import SIG_FERM, SIG_FREE2
@@ -50,6 +51,13 @@ def test_odd_diagonal_accepted():
         '{"generators": ["a"], "locality": 5}',
         '{"generators": ["a"], "locality": [5]}',
         '{"generators": ["a"], "locality": [[true]]}',
+        '{"generators": [null], "locality": [[-1]]}',
+        '{"generators": [7], "locality": [[-1]]}',
+        '{"generators": [""], "locality": [[-1]]}',
+        '{"generators": ["a(b"], "locality": [[-1]]}',
+        '{"generators": ["vac"], "locality": [[-1]]}',
+        '{"generators": ["2a"], "locality": [[-1]]}',
+        '{"generators": ["a b"], "locality": [[-1]]}',
     ],
 )
 def test_invalid_configurations_rejected(doc):
@@ -74,6 +82,18 @@ def test_invalid_lattice_configurations_rejected(doc):
         load_lattice(doc)
     with pytest.raises(SignatureError):
         load_config(doc)
+
+
+@given(st.text(alphabet="ab_1v c(é", max_size=5))
+def test_generator_names_are_the_parser_identifiers(name):
+    # a name loads exactly when the tokenizer reads it as one identifier token
+    ident = [t[:2] for t in _tokenize(name)] == [("IDENT", name), ("EOF", None)]
+    try:
+        make_signature([name], [[-1]])
+    except SignatureError:
+        assert not ident
+    else:
+        assert ident
 
 
 def test_make_signature_rejects_malformed_shapes():
