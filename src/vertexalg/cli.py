@@ -156,6 +156,11 @@ def _cmd_embed(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
+    # the parameters each suite reads; locfun reads any number of lengths
+    reads = {"dong": ("config", "k_max"), "presentation": ("config",), "boson-fermion": ("k_max", "d_max")}
+    reads = reads.get(suite)
+    if reads and len(args.params) > len(reads):
+        raise SignatureError(f"verify {suite} reads at most {', '.join(reads)}; got {len(args.params)} parameters")
     if suite == "dong":
         if not args.params:
             raise SignatureError("verify dong needs a configuration file")

@@ -11,20 +11,21 @@ words, the embedding of the free algebra letter by letter): it sums the
 contraction coefficients of every state by (kept letters, Schur degree,
 charge) and multiplies each distinct kept part by the Schur polynomial
 once.  Its contractions (`_kept_parts`) keep r of each run of equal
-letters with one binomial coefficient and read no shifts of powers of z.
-`locality_order` scans the modes of one charged product through the letter
-step on one key and reads only whether each value is zero.  The word step
-applies the image of a charged word a1(n1)...ak(nk) vac, k >= 2, the same
-way, with one Schur polynomial per letter; its contractions
-(`_contractions`) also record the levels contracted with each letter.  The
-general product reads the vertex operator of a left state
-h1(-k1)...hp(-kp) v_a as the normally ordered product of the derivatives
-of its Heisenberg fields with Y(v_a, z): each letter is created, or
-contracts with the right state, in one loop.  Every pair of states of the
-two elements adds its coefficients to one table keyed by (left charge,
-created letters, mode), whose values are combinations of the remaining
-right states; each entry meets the letter step once, and its created
-letters join the step's output after it.
+letters with one binomial coefficient.  `locality_order` scans the modes
+of one charged product through the letter step on one key and reads only
+whether each value is zero.  The word step applies the image of a charged
+word a1(n1)...ak(nk) vac, k >= 2, the same way, with one Schur polynomial
+per letter; its letters contract one after another through the same
+`_kept_parts`, each with the letters the earlier ones kept, and the levels
+a letter contracts shift its power of z.  The general product reads the
+vertex operator of a left state h1(-k1)...hp(-kp) v_a as the normally
+ordered product of the derivatives of its Heisenberg fields with
+Y(v_a, z): each letter is created, or contracts with the right state, in
+one loop.  Every pair of states of the two elements adds its coefficients
+to one table keyed by (left charge, created letters, mode), whose values
+are combinations of the remaining right states; each entry meets the
+letter step once, and its created letters join the step's output after
+it.
 
 Every kernel value is a pair (numerators, denom): a dict from state to
 nonzero int over one positive int denominator.  Cocycle signs always sit in
@@ -43,10 +44,9 @@ agree on the rows share their entries, the reduced image of a word after
 each letter of the embedding and the cleared image `embed(v)` that a
 one-letter product receives are the same key, and so are a right element
 that `product_charged` receives and the one group a left charged vacuum
-makes of it in the general product.  `_schur`, `_schur_product`,
-`_distributions` and `_compositions` never read a signature.  Only
-`_charge_rows` and the embedding of a word, `_embed_word`, are keyed by the
-signature.
+makes of it in the general product.  `_schur`, `_schur_product` and
+`_compositions` never read a signature.  Only `_charge_rows` and the
+embedding of a word, `_embed_word`, are keyed by the signature.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from math import comb, factorial, gcd, lcm
 from operator import mul, sub
 
@@ -242,30 +243,18 @@ def _charge_rows(sig: Signature, alpha: Weight) -> tuple:
     return pair, parity
 
 
-def _runs(heis) -> list:
-    """The runs of equal letters of a sorted heis, as [letter, multiplicity]."""
-    runs = []
-    for letter in heis:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    return runs
-
-
 def _kept_parts(pair, heis, limit: int) -> list:
     """The E^+ contractions of the creation letters of heis with one charge of pairing row pair.
 
     Of a run of mult equal letters h(-k), r are kept and mult - r contract,
     for binomial(mult, r) (-(alpha|h))^(mult - r); with pair[h] = 0 all are
     kept.  Returns (kept, kept degree, coefficient) for every choice whose
-    kept letters have degree at most limit, in the order of `_contractions`
-    with the shifts left out.
+    kept letters have degree at most limit.
     """
     out = [((), 0, 1)]
-    for letter, mult in _runs(heis):
+    for letter, run in groupby(heis):
         level, g = letter
-        f = pair[g]
+        mult, f = len(tuple(run)), pair[g]
         rs = range(mult, -1, -1) if f else (mult,)
         choices = [((letter,) * r, level * r, comb(mult, r) * f ** (mult - r)) for r in rs]
         out = [
@@ -275,45 +264,6 @@ def _kept_parts(pair, heis, limit: int) -> list:
             if kdeg + pdeg <= limit
         ]
     return out
-
-
-def _contractions(negs, heis, limit: int) -> list:
-    """The E^+ contractions of the creation letters of heis with charges of pairing rows negs.
-
-    Each letter h(-k) is kept or contracted with one alpha_i, for a factor
-    -(alpha_i|h) = negs[i][h] and k more in shifts[i]; equal letters are
-    grouped with a multinomial multiplicity.  Returns (kept, kept degree,
-    shifts, coefficient) for every choice whose kept letters have degree at
-    most limit.
-    """
-    out = [((), 0, (0,) * len(negs), 1)]
-    for (level, g), mult in _runs(heis):
-        fs = [f[g] for f in negs]
-        hit = [i for i, f in enumerate(fs) if f]
-        nxt = []
-        for kept, kdeg, shifts, c in out:
-            for r, js, cm in _distributions(mult, len(hit)):
-                if kdeg + level * r > limit:
-                    continue
-                sh = list(shifts)
-                for i, j in zip(hit, js):
-                    sh[i] += level * j
-                    cm *= fs[i] ** j
-                nxt.append((kept + ((level, g),) * r, kdeg + level * r, tuple(sh), c * cm))
-        out = nxt
-    return out
-
-
-@cache
-def _distributions(mult: int, parts: int) -> tuple:
-    """(kept, (j_1..j_parts), multinomial) for every split of mult equal letters."""
-    if parts == 0:
-        return ((mult, (), 1),)
-    return tuple(
-        (kept, (j,) + js, binomial(mult, j) * c)
-        for j in range(mult + 1)
-        for kept, js, c in _distributions(mult - j, parts - 1)
-    )
 
 
 def _divide(data: dict, denom: int) -> FockElement:
@@ -534,15 +484,25 @@ def _word_step(rows: tuple, cw: CWord, m: int, items: frozenset) -> tuple:
     groups = {}
     for (heis, beta), c in items:
         b = [-sum(map(mul, beta, neg)) for neg in negs]
-        degree = d0 - m - 1 - sum(b) + sum(level for level, _ in heis)
+        hdeg = sum(level for level, _ in heis)
+        degree = d0 - m - 1 - sum(b) + hdeg
         if degree < 0:
             continue
         if sum(map(mul, beta, parity)) & 1:
             c = -c
         mu = tuple(map(sum, zip(beta, *alphas)))
-        for kept, kdeg, shifts, t in _contractions(negs, heis, degree):
-            key = (kept, tuple(map(sub, b, shifts)), degree - kdeg, mu)
-            groups[key] = groups.get(key, 0) + c * t
+        # a_i contracts some of the letters that a_1..a_{i-1} kept, of levels shifts[i] in all
+        parts = [(heis, hdeg, (), c)]
+        for neg in negs:
+            parts = [
+                (kept, kdeg, shifts + (rdeg - kdeg,), t * u)
+                for rest, rdeg, shifts, t in parts
+                for kept, kdeg, u in _kept_parts(neg, rest, rdeg)
+            ]
+        for kept, kdeg, shifts, t in parts:
+            if kdeg <= degree:
+                key = (kept, tuple(map(sub, b, shifts)), degree - kdeg, mu)
+                groups[key] = groups.get(key, 0) + t
     weights = {}  # (e, charge) -> kept -> integer weight
     for (kept, bp, rest, mu), c in groups.items():
         if not c:

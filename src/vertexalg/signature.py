@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 # Exact scalar type used everywhere; never floats.
 Scalar = Fraction
@@ -200,7 +201,7 @@ def weight_parity(sig: Signature, lam: Weight) -> int:
 
 
 def weight_add(lam: Weight, mu: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(lam, mu))
+    return tuple(map(add, lam, mu))
 
 
 def weight_neg(lam: Weight) -> Weight:

@@ -864,14 +864,18 @@ def test_locality_order_matches_scan(sig):
     assert below
 
 
-def test_kept_parts_match_contractions():
-    # the letter step's contractions are _contractions of one pairing row with the
-    # shifts dropped, in the same order, for every limit from -1 to the total level
-    rng = seeded(43)
-    for _ in range(150):
-        size = rng.randint(1, 3)
-        pair = tuple(rng.choice((-2, -1, 0, 0, 1, 2, 3)) for _ in range(size))
-        heis = tuple(sorted((rng.randint(1, 3), rng.randrange(size)) for _ in range(rng.randint(0, 7))))
-        for limit in range(-1, sum(k for k, _ in heis) + 1):
-            shifted = fock._contractions((pair,), heis, limit)
-            assert fock._kept_parts(pair, heis, limit) == [(k, d, c) for k, d, _, c in shifted]
+def test_word_step_splits_a_run_across_charges():
+    # on free2 every pairing is nonzero, so a run of equal letters a(-1)^r is shared
+    # out among all the charges of the word, each taking some of what the earlier kept
+    a, b = (1, 0), (0, 1)
+    x = FockElement({(((1, 0),) * 3, (0, 0)): 1, (((1, 0), (1, 0), (2, 1)), a): 2})
+    assert format_fock(SIG_FREE2, x) == "a(-1)a(-1)a(-1) v[0] + 2 * b(-2)a(-1)a(-1) v[a]"
+    products = 0
+    for cw in (((a, -1), (b, -2)), ((a, -2), ((1, 1), -1)), ((a, -1), (b, -1), (a, -2))):
+        top = max(_out_degree(SIG_FREE2, cw, 0, st_) for st_ in x.terms)  # output degree at m = 0
+        for m in range(top - 4, top + 1):  # output degrees 4 down to 0
+            got = product_word(SIG_FREE2, cw, m, x)
+            assert not got.is_zero()
+            assert got == product_state(SIG_FREE2, _word_image(SIG_FREE2, cw), m, x)
+            products += 1
+    assert products == 15

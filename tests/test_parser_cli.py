@@ -309,6 +309,11 @@ def test_cli_out_of_range_params(free2_cfg, capsys):
         (["verify", "boson-fermion", "-1", "-1"], "k_max must be at least 1, got -1"),
         (["verify", "boson-fermion", "2", "-1"], "d_max must be at least 0, got -1"),
         (["dim", free2_cfg, "a", "5..2"], "deg2 range '5..2' is empty"),
+        # a parameter beyond those a suite reads
+        (["verify", "dong", free2_cfg, "4", "9"], "verify dong reads at most config, k_max; got 3 parameters"),
+        (["dong", free2_cfg, "4", "9"], "verify dong reads at most config, k_max; got 3 parameters"),
+        (["verify", "boson-fermion", "1", "0", "7"], "verify boson-fermion reads at most k_max, d_max; got 3 parameters"),
+        (["verify", "presentation", free2_cfg, "x"], "verify presentation reads at most config; got 2 parameters"),
     )
     for argv, message in cases:
         assert cli.run(argv) == 2

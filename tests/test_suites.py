@@ -1,6 +1,6 @@
 import pytest
 
-from vertexalg import SignatureError, make_signature
+from vertexalg import SignatureError, fock, make_signature
 from vertexalg.suites import (
     SuiteReport,
     dong_locality,
@@ -31,6 +31,21 @@ def test_dong_locality_closed_form():
 def test_verify_dong_samples():
     assert verify_dong(SIG_FERM, 2).all_pass
     assert verify_dong(make_signature(["a", "b"], [[-2, 3], [3, 1]]), 3).all_pass
+
+
+def test_verify_dong_one_vacuum_product_per_pair_and_k(monkeypatch):
+    # v_b [N(a,b)-k-1] v_a does not depend on the third generator c: 2 * 2 * 4 calls, not 2 * 2 * 2 * 4
+    calls = []
+    real = fock.vacuum_product
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(fock, "vacuum_product", counted)
+    rep = verify_dong(SIG_FREE2, 3)
+    assert rep.all_pass and len(rep.checks) == 32
+    assert len(calls) == 16 and len(set(calls)) == 16
 
 
 def test_verify_locfun_formula():
