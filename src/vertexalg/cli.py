@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (all checks pass), 1 expression parse error,
 2 configuration or validation error, 3 suite failure, 4 resource limit
-(the rewriting step budget or the recursion limit) reached.
+reached (the rewriting step budget, the recursion limit, or a size too
+large to allocate, such as a `dim` degree that does not fit in memory).
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ def _deg2_range(text: str):
     return range(lo, hi + 1)
 
 
-def _emit(args, payload: dict, text: str):
-    if args.format == "machine":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
 def _emit_report(args, report) -> int:
     if args.format == "machine":
         print(report.render_machine())
@@ -69,78 +63,38 @@ def _emit_report(args, report) -> int:
     return EXIT_OK if report.all_pass else EXIT_SUITE
 
 
-def _cmd_normal_form(args) -> int:
-    sig = _load(args.config)
-    element = parse_element(sig, args.expr)
-    outcome = normal_form(sig, element)
+# Each subcommand maps (signature, args) to (payload, text): `run` prints the
+# payload as one JSON record in machine format and the text otherwise.
+
+
+def _cmd_normal_form(sig: Signature, args):
+    outcome = normal_form(sig, parse_element(sig, args.expr))
     text = format_element(sig, outcome.result)
-    _emit(
-        args,
-        {
-            "command": "normal-form",
-            "result": text,
-            "steps": outcome.steps,
-            "q_kills": outcome.q_kills,
-        },
-        text,
-    )
-    return EXIT_OK
+    return {"result": text, "steps": outcome.steps, "q_kills": outcome.q_kills}, text
 
 
-def _cmd_basis(args) -> int:
-    sig = _load(args.config)
+def _cmd_basis(sig: Signature, args):
     lam = parse_weight(sig, args.weight)
-    words = basis_words(sig, lam, args.deg2)
-    if args.format == "machine":
-        print(
-            json.dumps(
-                {
-                    "command": "basis",
-                    "weight": format_weight(sig, lam),
-                    "deg2": args.deg2,
-                    "words": [format_word(sig, w) for w in words],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for w in words:
-            print(format_word(sig, w))
-    return EXIT_OK
+    words = [format_word(sig, w) for w in basis_words(sig, lam, args.deg2)]
+    return {"weight": format_weight(sig, lam), "deg2": args.deg2, "words": words}, "\n".join(words)
 
 
-def _cmd_dim(args) -> int:
-    sig = _load(args.config)
+def _cmd_dim(sig: Signature, args):
     lam = parse_weight(sig, args.weight)
     degs = list(_deg2_range(args.range))
     dims = [dim_component(sig, lam, d) for d in degs]
-    _emit(
-        args,
-        {
-            "command": "dim",
-            "weight": format_weight(sig, lam),
-            "deg2": degs,
-            "dims": dims,
-        },
-        ",".join(str(d) for d in dims),
-    )
-    return EXIT_OK
+    return {"weight": format_weight(sig, lam), "deg2": degs, "dims": dims}, ",".join(str(d) for d in dims)
 
 
-def _cmd_product(args) -> int:
-    sig = _load(args.config)
+def _cmd_product(sig: Signature, args):
     left = parse_element(sig, args.left)
     right = parse_element(sig, args.right)
-    result = product(sig, left, args.mode, right)
-    text = format_element(sig, result)
-    _emit(args, {"command": "product", "mode": args.mode, "result": text}, text)
-    return EXIT_OK
+    text = format_element(sig, product(sig, left, args.mode, right))
+    return {"mode": args.mode, "result": text}, text
 
 
-def _cmd_embed(args) -> int:
-    sig = _load(args.config)
-    element = parse_element(sig, args.expr)
-    image = fock.embed(sig, element)
+def _cmd_embed(sig: Signature, args):
+    image = fock.embed(sig, parse_element(sig, args.expr))
     text = fock.format_fock(sig, image)
     states = [
         {
@@ -150,41 +104,41 @@ def _cmd_embed(args) -> int:
         }
         for st in sorted(image.terms)
     ]
-    _emit(args, {"command": "embed", "result": text, "states": states}, text)
-    return EXIT_OK
+    return {"result": text, "states": states}, text
 
 
-def _cmd_verify(args) -> int:
-    suite = args.suite
-    # the parameters each suite reads; locfun reads any number of lengths
-    reads = {"dong": ("config", "k_max"), "presentation": ("config",), "boson-fermion": ("k_max", "d_max")}
-    reads = reads.get(suite)
-    if reads and len(args.params) > len(reads):
-        raise SignatureError(f"verify {suite} reads at most {', '.join(reads)}; got {len(args.params)} parameters")
-    if suite == "dong":
-        if not args.params:
-            raise SignatureError("verify dong needs a configuration file")
-        sig = _load(args.params[0])
-        k_max = _int_param("k_max", args.params[1], 0) if len(args.params) > 1 else 4
-        return _emit_report(args, verify_dong(sig, k_max))
-    if suite == "locfun":
-        if not args.params:
-            raise SignatureError("verify locfun needs a configuration file")
-        sig = _load(args.params[0])
-        lengths = tuple(_int_param("length", p, 1) for p in args.params[1:]) or (2, 3, 4)
-        return _emit_report(args, verify_locfun(sig, lengths))
-    if suite == "presentation":
-        if not args.params:
-            raise SignatureError("verify presentation needs a lattice configuration file")
-        sig = _load(args.params[0])
-        return _emit_report(args, verify_presentation(sig))
-    if suite == "boson-fermion":
-        k_max = _int_param("k_max", args.params[0], 1) if args.params else 4
-        d_max = _int_param("d_max", args.params[1], 0) if len(args.params) > 1 else 6
-        return _emit_report(args, verify_boson_fermion(k_max, d_max))
-    raise SignatureError(
-        f"unknown suite {suite!r} (dong, locfun, presentation, boson-fermion)"
-    )
+# Each verify suite: its function, the configuration file it reads (the
+# wording after "needs"; None if it reads none) and its integer parameters as
+# (name, least), passed in order.  Parameters not given keep the function's
+# defaults.  A trailing `...` repeats the last one: locfun reads any number of
+# lengths and passes them as one tuple.
+SUITES = {
+    "dong": (verify_dong, "a configuration file", (("k_max", 0),)),
+    "locfun": (verify_locfun, "a configuration file", (("length", 1), ...)),
+    "presentation": (verify_presentation, "a lattice configuration file", ()),
+    "boson-fermion": (verify_boson_fermion, None, (("k_max", 1), ("d_max", 0))),
+}
+
+
+def _run_suite(suite: str, params: list):
+    if suite not in SUITES:
+        raise SignatureError(f"unknown suite {suite!r} ({', '.join(SUITES)})")
+    func, needs, ints = SUITES[suite]
+    many = ... in ints
+    ints = [p for p in ints if p is not ...]
+    reads = ["config"] * bool(needs) + [name for name, _ in ints]
+    if not many and len(params) > len(reads):
+        raise SignatureError(f"verify {suite} reads at most {', '.join(reads)}; got {len(params)} parameters")
+    args = []
+    if needs:
+        if not params:
+            raise SignatureError(f"verify {suite} needs {needs}")
+        args.append(_load(params[0]))
+        params = params[1:]
+    if many:
+        ints *= len(params)
+    values = [_int_param(name, text, least) for (name, least), text in zip(ints, params)]
+    return func(*args, tuple(values)) if many and values else func(*args, *values)
 
 
 @cache
@@ -237,12 +191,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(suite, help=f"{text} (same as verify {suite})")
         p.add_argument("params", nargs="*")
-        p.set_defaults(func=_cmd_verify, suite=suite)
+        p.set_defaults(suite=suite)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
     p.add_argument("params", nargs="*")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -267,17 +220,21 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_dash_positionals(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        if "suite" in args:
+            return _emit_report(args, _run_suite(args.suite, args.params))
+        payload, text = args.func(_load(args.config), args)
+        if args.format == "machine":
+            print(json.dumps({"command": args.command, **payload}, sort_keys=True))
+        elif text:
+            print(text)
+        return EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SignatureError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (StepBudgetExceeded, RecursionError) as exc:
+    except (StepBudgetExceeded, RecursionError, OverflowError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -78,19 +78,19 @@ def ferm_cfg(tmp_path):
 def test_cli_normal_form_golden(ferm_cfg, capsys):
     code = cli.run(["normal-form", ferm_cfg, "a(-1)a(-2)vac"])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "-1 * a(-2)a(-1)vac"
+    assert capsys.readouterr().out == "-1 * a(-2)a(-1)vac\n"
 
 
 def test_cli_dim_golden(ferm_cfg, capsys):
     code = cli.run(["dim", ferm_cfg, "2a", "4..12"])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "1,0,1,0,2,0,2,0,3"
+    assert capsys.readouterr().out == "1,0,1,0,2,0,2,0,3\n"
 
 
 def test_cli_embed_golden(ferm_cfg, capsys):
     code = cli.run(["embed", ferm_cfg, "a(-2)a(-1)vac"])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "v[2a]"
+    assert capsys.readouterr().out == "v[2a]\n"
 
 
 def test_cli_basis(ferm_cfg, capsys):
@@ -102,7 +102,39 @@ def test_cli_basis(ferm_cfg, capsys):
 def test_cli_product(ferm_cfg, capsys):
     code = cli.run(["product", ferm_cfg, "a(-2)vac", "-1", "a(-1)vac"])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "a(-2)a(-1)vac"
+    assert capsys.readouterr().out == "a(-2)a(-1)vac\n"
+
+
+@pytest.mark.parametrize(
+    "argv, record",
+    (
+        (
+            ["basis", "ferm", "2a", "10"],
+            '{"command": "basis", "deg2": 10, "weight": "2a", "words": ["a(-5)a(-1)vac", "a(-4)a(-2)vac"]}',
+        ),
+        (["dim", "ferm", "2a", "4..6"], '{"command": "dim", "deg2": [4, 5, 6], "dims": [1, 0, 1], "weight": "2a"}'),
+        (
+            ["product", "ferm", "a(-2)vac", "-1", "a(-1)vac"],
+            '{"command": "product", "mode": -1, "result": "a(-2)a(-1)vac"}',
+        ),
+        (
+            ["embed", "free2", "a(1)b(-3)vac"],
+            '{"command": "embed", "result": "3/2 * a(-1)a(-1) v[a+b] + 2 * b(-1)a(-1) v[a+b]'
+            ' + 1/2 * b(-1)b(-1) v[a+b] + 3/2 * a(-2) v[a+b] + 1/2 * b(-2) v[a+b]", "states": ['
+            '{"charge": [1, 1], "coeff": "3/2", "heis": [["a", 1], ["a", 1]]}, '
+            '{"charge": [1, 1], "coeff": "2", "heis": [["a", 1], ["b", 1]]}, '
+            '{"charge": [1, 1], "coeff": "1/2", "heis": [["b", 1], ["b", 1]]}, '
+            '{"charge": [1, 1], "coeff": "3/2", "heis": [["a", 2]]}, '
+            '{"charge": [1, 1], "coeff": "1/2", "heis": [["b", 2]]}]}',
+        ),
+    ),
+)
+def test_cli_machine_golden_records(ferm_cfg, free2_cfg, capsys, argv, record):
+    command, config, *rest = argv
+    cfg = {"ferm": ferm_cfg, "free2": free2_cfg}[config]
+    assert cli.run(["--format", "machine", command, cfg, *rest]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (record + "\n", "")
 
 
 def test_cli_long_right_normed_word(ferm_cfg):
@@ -203,6 +235,25 @@ def test_cli_resource_limit_exit(ferm_cfg, capsys, monkeypatch, exc):
     assert "Traceback" not in err
 
 
+def test_cli_too_large_exit(ferm_cfg, capsys, monkeypatch):
+    # a degree whose DP table cannot be indexed, and a mode whose factorial
+    # overflows, fail before anything is allocated
+    for argv in (["dim", ferm_cfg, "2a", str(10**20)], ["embed", ferm_cfg, f"a({-10**20})vac"]):
+        assert cli.run(argv) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: ")
+        assert captured.err.count("\n") == 1
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(cli, "dim_component", exhausted)
+    assert cli.run(["dim", ferm_cfg, "2a", "4..6"]) == cli.EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "resource limit: out of memory\n")
+
+
 def test_cli_machine_format(ferm_cfg, capsys):
     code = cli.run(["--format", "machine", "normal-form", ferm_cfg, "a(-1)a(-2)vac"])
     assert code == 0
@@ -224,6 +275,9 @@ def test_cli_verify_machine_schema(ferm_cfg, capsys):
 
 def test_cli_verify_unknown_suite(ferm_cfg, capsys):
     assert cli.run(["verify", "nonsense"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: unknown suite 'nonsense' (dong, locfun, presentation, boson-fermion)\n"
 
 
 def test_cli_embed_machine_states(ferm_cfg, capsys):
@@ -274,9 +328,9 @@ def test_cli_positionals_with_leading_dash(free2_cfg, capsys):
 
     assert cli.run(["dim", free2_cfg, "-a+2b", "0..6"]) == 0
     want = ",".join(str(dim_component(SIG_FREE2, (-1, 2), d)) for d in range(7))
-    assert capsys.readouterr().out.strip() == want
+    assert capsys.readouterr().out == want + "\n"
     assert cli.run(["basis", free2_cfg, "-a", "0"]) == 0
-    assert capsys.readouterr().out.strip() == ""
+    assert capsys.readouterr().out == ""
     assert cli.run(["--format", "machine", "product", free2_cfg, "-a(-1)vac", "0", "b(-1)vac"]) == 0
     left = parse_element(SIG_FREE2, "-a(-1)vac")
     right = parse_element(SIG_FREE2, "b(-1)vac")
@@ -314,12 +368,18 @@ def test_cli_out_of_range_params(free2_cfg, capsys):
         (["dong", free2_cfg, "4", "9"], "verify dong reads at most config, k_max; got 3 parameters"),
         (["verify", "boson-fermion", "1", "0", "7"], "verify boson-fermion reads at most k_max, d_max; got 3 parameters"),
         (["verify", "presentation", free2_cfg, "x"], "verify presentation reads at most config; got 2 parameters"),
+        # a suite that reads a configuration file, given none
+        (["verify", "dong"], "verify dong needs a configuration file"),
+        (["dong"], "verify dong needs a configuration file"),
+        (["verify", "locfun"], "verify locfun needs a configuration file"),
+        (["locfun"], "verify locfun needs a configuration file"),
+        (["verify", "presentation"], "verify presentation needs a lattice configuration file"),
     )
     for argv, message in cases:
         assert cli.run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip() == f"validation error: {message}"
+        assert captured.err == f"validation error: {message}\n"
 
 
 def test_cli_presentation_lattice_config(tmp_path, capsys):
