@@ -75,8 +75,9 @@ def _cmd_normal_form(sig: Signature, args):
 
 def _cmd_basis(sig: Signature, args):
     lam = parse_weight(sig, args.weight)
-    words = [format_word(sig, w) for w in basis_words(sig, lam, args.deg2)]
-    return {"weight": format_weight(sig, lam), "deg2": args.deg2, "words": words}, "\n".join(words)
+    deg2 = _int_param("deg2", args.deg2)
+    words = [format_word(sig, w) for w in basis_words(sig, lam, deg2)]
+    return {"weight": format_weight(sig, lam), "deg2": deg2, "words": words}, "\n".join(words)
 
 
 def _cmd_dim(sig: Signature, args):
@@ -88,9 +89,10 @@ def _cmd_dim(sig: Signature, args):
 
 def _cmd_product(sig: Signature, args):
     left = parse_element(sig, args.left)
+    mode = _int_param("mode", args.mode)
     right = parse_element(sig, args.right)
-    text = format_element(sig, product(sig, left, args.mode, right))
-    return {"mode": args.mode, "result": text}, text
+    text = format_element(sig, product(sig, left, mode, right))
+    return {"mode": mode, "result": text}, text
 
 
 def _cmd_embed(sig: Signature, args):
@@ -164,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="list basic words of a component")
     p.add_argument("config")
     p.add_argument("weight")
-    p.add_argument("deg2", type=int)
+    p.add_argument("deg2")
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("dim", help="dimensions over a doubled-degree range")
@@ -176,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="product of two elements")
     p.add_argument("config")
     p.add_argument("left")
-    p.add_argument("mode", type=int)
+    p.add_argument("mode")
     p.add_argument("right")
     p.set_defaults(func=_cmd_product)
 

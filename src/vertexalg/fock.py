@@ -11,11 +11,9 @@ words, the embedding of the free algebra letter by letter): it sums the
 contraction coefficients of every state by (kept letters, Schur degree,
 charge) and multiplies each distinct kept part by the Schur polynomial
 once.  Its contractions (`_kept_parts`) keep r of each run of equal
-letters with one binomial coefficient.  `locality_order` scans the modes
-of one charged product through the letter step on one key and reads only
-whether each value is zero.  The word step applies the image of a charged
-word a1(n1)...ak(nk) vac, k >= 2, the same way, with one Schur polynomial
-per letter; its letters contract one after another through the same
+letters with one binomial coefficient.  The word step applies the image of
+a charged word a1(n1)...ak(nk) vac, k >= 2, the same way, with one Schur
+polynomial per letter; its letters contract one after another through the same
 `_kept_parts`, each with the letters the earlier ones kept, and the levels
 a letter contracts shift its power of z.  The general product reads the
 vertex operator of a left state h1(-k1)...hp(-kp) v_a as the normally
@@ -26,6 +24,15 @@ to one table keyed by (left charge, created letters, mode), whose values
 are combinations of the remaining right states; each entry meets the
 letter step once, and its created letters join the step's output after
 it.
+
+Locality orders are read off the letter step too.  `locality_order` scans
+the modes of one charged product down from `locality_upper` on one
+letter-step key and reads only whether each value is zero.
+`vacuum_product_orders` runs that scan for several charges on one vacuum
+product v_a [n] v_b: its key is the letter step's integer numerators as
+they are, with no division into fractions and back, and the highest
+creation level of each charge of the product is found once for the bounds
+of all the scans.
 
 Every kernel value is a pair (numerators, denom): a dict from state to
 nonzero int over one positive int denominator.  Cocycle signs always sit in
@@ -362,14 +369,49 @@ def product_charged(sig: Signature, alpha: Weight, n: int, x: FockElement) -> Fo
     return _divide(*_apply_letter(_charge_rows(sig, alpha), alpha, n, *_clear(x)))
 
 
+def _top_levels(states) -> dict:
+    """The highest creation level of the states of each charge: {charge: level}."""
+    tops = {}
+    for heis, beta in states:
+        level = sum(k for k, _ in heis)
+        if tops.get(beta, -1) < level:
+            tops[beta] = level
+    return tops
+
+
+def _upper(pair, tops: dict) -> int:
+    """locality_upper for the pairing row pair of a charge and the _top_levels of an element."""
+    return max((sum(map(mul, beta, pair)) + level for beta, level in tops.items()), default=0)
+
+
 def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
     """Sound upper bound L with v_alpha [n] x = 0 for all n >= L.
 
     N(v_a, v_b) = -(a|b), and each creation letter of level k raises the
     order by at most k.  -(alpha|beta) is read off the pairing row of alpha.
     """
-    pair = _charge_rows(sig, alpha)[0]
-    return max((sum(map(mul, beta, pair)) + sum(k for k, _ in heis) for heis, beta in x.terms), default=0)
+    return _upper(_charge_rows(sig, alpha)[0], _top_levels(x.terms))
+
+
+def _orders(sig: Signature, items: frozenset, queries, known: dict) -> list:
+    """locality_order of each (alpha, lowest) query on the integer combination of the items.
+
+    known holds the _charge_rows already read, by charge, and gains those
+    read here; the top levels of the items are found once for all queries.
+    """
+    tops = _top_levels(st for st, _ in items)
+    out = []
+    for alpha, lowest in queries:
+        if alpha not in known:
+            known[alpha] = _charge_rows(sig, alpha)
+        rows = known[alpha]
+        order = None
+        for m in range(_upper(rows[0], tops) - 1, lowest - 1, -1):
+            if _letter_step(rows, alpha, m, items)[0]:
+                order = m + 1
+                break
+        out.append(order)
+    return out
 
 
 def locality_order(sig: Signature, alpha: Weight, x: FockElement, lowest: int) -> int | None:
@@ -379,12 +421,18 @@ def locality_order(sig: Signature, alpha: Weight, x: FockElement, lowest: int) -
     that `product_charged(sig, alpha, m, x)` makes, of which only whether
     its numerators are empty is read.
     """
-    rows = _charge_rows(sig, alpha)
-    items = frozenset(_clear(x)[0].items())
-    for m in range(locality_upper(sig, alpha, x) - 1, lowest - 1, -1):
-        if _letter_step(rows, alpha, m, items)[0]:
-            return m + 1
-    return None
+    return _orders(sig, frozenset(_clear(x)[0].items()), ((alpha, lowest),), {})[0]
+
+
+def vacuum_product_orders(sig: Signature, alpha: Weight, n: int, beta: Weight, queries) -> list | None:
+    """locality_order(sig, gamma, vacuum_product(sig, alpha, n, beta), lowest) for each (gamma, lowest).
+
+    None if the product is 0.  The letter step's integer numerators are
+    scanned as they are, on the keys that the cleared product makes.
+    """
+    known = {alpha: _charge_rows(sig, alpha)}
+    nums = _letter_step(known[alpha], alpha, n, frozenset([(((), beta), 1)]))[0]
+    return _orders(sig, frozenset(nums.items()), queries, known) if nums else None
 
 
 # --- products with word-shaped left factors ---------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -30,6 +31,7 @@ from vertexalg.fock import (
     vacuum_product,
 )
 from vertexalg.basis import basis_words, minimal_word
+from vertexalg.suites import dong_locality
 from vertexalg.words import FreeElement, binomial, word_deg2, word_weight
 
 from conftest import ALL_SIGS, SIG_FERM, SIG_FREE2, SIG_NEG, components, random_short_word, seeded
@@ -179,6 +181,13 @@ def test_locality_upper_is_sound():
             upper = locality_upper(sig, alpha, x)
             for n in range(upper, upper + 3):
                 assert product_charged(sig, alpha, n, x).is_zero()
+        # two states of one charge: the bound is set by the higher level, and it is sharp here
+        alpha, beta = sig.unit_weight(0), sig.unit_weight(sig.size - 1)
+        x = FockElement({((), beta): 1, (((3, 0),), beta): 2})
+        upper = locality_upper(sig, alpha, x)
+        assert upper == sig.n(0, sig.size - 1) + 3
+        assert not product_charged(sig, alpha, upper - 1, x).is_zero()
+        assert fock.locality_order(sig, alpha, x, upper - 5) == upper
 
 
 def test_embed_examples(ferm):
@@ -862,6 +871,46 @@ def test_locality_order_matches_scan(sig):
     for st_, c in cancel.terms.items():
         assert not product_charged(sig, alpha, top, FockElement({st_: c})).is_zero()
     assert below
+
+
+def _orders_oracle(sig, alpha, n, beta, queries):
+    """The per-query route: the product as a FockElement, then locality_order on each query."""
+    y = vacuum_product(sig, alpha, n, beta)
+    return None if y.is_zero() else [fock.locality_order(sig, gamma, y, lowest) for gamma, lowest in queries]
+
+
+@pytest.mark.parametrize("size", (2, 3))
+def test_vacuum_product_orders_against_locality_order(size):
+    # random signatures with locality entries in -3..4; for each (a, b, k) the product
+    # v_b [N(a,b)-k-1] v_a (k = -1 gives 0) scanned for every c with lowest below, at
+    # and above the order the closed form predicts; both routes walk the same
+    # letter-step keys, so either one run after the other makes no miss
+    rng = seeded(57 + size)
+    for _ in range(4 if size == 2 else 2):
+        loc = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1):
+                loc[i][j] = loc[j][i] = rng.randint(-3, 4)
+        sig = make_signature(["a", "b", "c"][:size], loc)
+        units = [sig.unit_weight(g) for g in range(size)]
+        cases = []
+        for a, b, k in itertools.product(range(size), range(size), range(-1, 4)):
+            queries = [
+                (units[c], dong_locality(sig, a, b, c, k) + shift) for c in range(size) for shift in (-3, -1, 0, 1)
+            ]
+            cases.append((units[b], sig.n(a, b) - k - 1, units[a], queries))
+        misses = []
+        routes = (fock.vacuum_product_orders, _orders_oracle)
+        for first, second in (routes, routes[::-1]):
+            fock._letter_step.cache_clear()
+            got = [first(sig, *case) for case in cases]
+            misses.append(fock._letter_step.cache_info().misses)
+            assert [second(sig, *case) for case in cases] == got, sig
+            assert fock._letter_step.cache_info().misses == misses[-1]
+        assert misses[0] == misses[1]
+        assert got.count(None) == size * size
+        orders = [order for out in got if out is not None for order in out]
+        assert None in orders and len(set(orders)) > 2
 
 
 def test_word_step_splits_a_run_across_charges():

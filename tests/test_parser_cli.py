@@ -363,6 +363,9 @@ def test_cli_out_of_range_params(free2_cfg, capsys):
         (["verify", "boson-fermion", "-1", "-1"], "k_max must be at least 1, got -1"),
         (["verify", "boson-fermion", "2", "-1"], "d_max must be at least 0, got -1"),
         (["dim", free2_cfg, "a", "5..2"], "deg2 range '5..2' is empty"),
+        # integers that argparse used to read: the same message as every other integer
+        (["basis", free2_cfg, "a", "x"], "deg2 must be an integer, got 'x'"),
+        (["product", free2_cfg, "a(-1)vac", "y", "a(-1)vac"], "mode must be an integer, got 'y'"),
         # a parameter beyond those a suite reads
         (["verify", "dong", free2_cfg, "4", "9"], "verify dong reads at most config, k_max; got 3 parameters"),
         (["dong", free2_cfg, "4", "9"], "verify dong reads at most config, k_max; got 3 parameters"),

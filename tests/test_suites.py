@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from vertexalg import SignatureError, fock, make_signature
@@ -33,19 +35,23 @@ def test_verify_dong_samples():
     assert verify_dong(make_signature(["a", "b"], [[-2, 3], [3, 1]]), 3).all_pass
 
 
-def test_verify_dong_one_vacuum_product_per_pair_and_k(monkeypatch):
-    # v_b [N(a,b)-k-1] v_a does not depend on the third generator c: 2 * 2 * 4 calls, not 2 * 2 * 2 * 4
+def test_verify_dong_one_product_scan_per_pair_and_k(monkeypatch):
+    # v_b [N(a,b)-k-1] v_a does not depend on the third generator c: one scan of
+    # each product serves every c, 2 * 2 * 4 scans, not 2 * 2 * 2 * 4
     calls = []
-    real = fock.vacuum_product
+    real = fock.vacuum_product_orders
 
-    def counted(*args):
-        calls.append(args[1:])
-        return real(*args)
+    def counted(sig, alpha, n, beta, queries):
+        calls.append((alpha, n, beta))
+        return real(sig, alpha, n, beta, queries)
 
-    monkeypatch.setattr(fock, "vacuum_product", counted)
+    monkeypatch.setattr(fock, "vacuum_product_orders", counted)
+    fock._letter_step.cache_clear()
     rep = verify_dong(SIG_FREE2, 3)
     assert rep.all_pass and len(rep.checks) == 32
     assert len(calls) == 16 and len(set(calls)) == 16
+    # the letter-step keys of one cold run: the 16 products and the modes of their scans
+    assert fock._letter_step.cache_info().misses == 46
 
 
 def test_verify_locfun_formula():
@@ -102,6 +108,33 @@ def test_report_rendering_deterministic():
     rep2 = verify_dong(SIG_FERM, 1)
     assert rep1.render_text() == rep2.render_text()
     assert rep1.render_machine() == rep2.render_machine()
+
+
+def test_render_machine_is_json_dumps_byte_for_byte():
+    rep = SuiteReport("d\u00f6ng \"q\"")
+    odd = 'quote " backslash \\ newline \n tab \t non-ASCII \u00e9\u2013\U0001d4b1 control \x01'
+    rep.add(odd, odd, 1, True)
+    rep.add("id " + odd, 2, odd + "!", False)
+    rep.add("\\", "nonzero product", "0", status="skip")
+    rep.add("\u00e9", odd, "\n", status="report")
+    rep.checks = verify_dong(SIG_FERM, 1).checks + rep.checks
+    want = "\n".join(
+        json.dumps(
+            {
+                "suite": rep.suite,
+                "id": c.id,
+                "expected": c.expected,
+                "computed": c.computed,
+                "pass": c.passed,
+                "status": c.status,
+            },
+            sort_keys=True,
+        )
+        for c in rep.checks
+    )
+    assert rep.render_machine() == want
+    assert {c.status for c in rep.checks} == {"pass", "fail", "skip", "report"}
+    assert SuiteReport("empty").render_machine() == ""
 
 
 def test_report_failure_detection():
