@@ -127,20 +127,25 @@ def basis_words(sig: Signature, lam: Weight, deg2: int):
     return out
 
 
-def dim_component(sig: Signature, lam: Weight, deg2: int) -> int:
-    """Dimension of the homogeneous component of weight lam and doubled degree deg2.
+def component_dims(sig: Signature, lam: Weight, degs) -> list:
+    """Dimensions of the homogeneous components of weight lam at each doubled degree in degs.
 
-    By the bijection it counts the colored partitions of e = (deg2 - floor)/2
-    with at most lam_a parts of color a: the coefficient of q^e in
-    prod_a prod_{i=1..lam_a} (1 - q^i)^-1, read off an integer DP over the
-    factors in O(e * sum lam) steps, without enumerating the words.
+    By the bijection they count the colored partitions of e = (deg2 - floor)/2
+    with at most lam_a parts of color a: the coefficients of
+    prod_a prod_{i=1..lam_a} (1 - q^i)^-1, read off one integer series up to
+    the largest e, built by a DP over the factors in O(e * sum lam) steps,
+    without enumerating the words.
     """
-    e = _partition_total(sig, lam, deg2)
-    if e is None:
-        return 0
+    totals = [_partition_total(sig, lam, d) for d in degs]
+    e = max((t for t in totals if t is not None), default=-1)
     series = [1] + [0] * e
     for cap in lam:
         for i in range(1, min(cap, e) + 1):
             for n in range(i, e + 1):
                 series[n] += series[n - i]
-    return series[e]
+    return [0 if t is None else series[t] for t in totals]
+
+
+def dim_component(sig: Signature, lam: Weight, deg2: int) -> int:
+    """Dimension of the homogeneous component of weight lam and doubled degree deg2."""
+    return component_dims(sig, lam, (deg2,))[0]

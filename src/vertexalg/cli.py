@@ -3,7 +3,8 @@
 Exit codes: 0 success (all checks pass), 1 expression parse error,
 2 configuration or validation error, 3 suite failure, 4 resource limit
 reached (the rewriting step budget, the recursion limit, or a size too
-large to allocate, such as a `dim` degree that does not fit in memory).
+large to allocate, such as a `dim` or `basis` degree that does not fit in
+memory).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from functools import cache
 
 from . import fock
-from .basis import basis_words, dim_component
+from .basis import basis_words, component_dims, dim_component
 from .parser import ParseError, parse_element, parse_weight
 from .rewrite import StepBudgetExceeded, normal_form
 from .signature import Signature, SignatureError, format_weight, load_config
@@ -76,6 +77,7 @@ def _cmd_normal_form(sig: Signature, args):
 def _cmd_basis(sig: Signature, args):
     lam = parse_weight(sig, args.weight)
     deg2 = _int_param("deg2", args.deg2)
+    dim_component(sig, lam, deg2)  # a degree too large to count fails here, before enumerating
     words = [format_word(sig, w) for w in basis_words(sig, lam, deg2)]
     return {"weight": format_weight(sig, lam), "deg2": deg2, "words": words}, "\n".join(words)
 
@@ -83,7 +85,7 @@ def _cmd_basis(sig: Signature, args):
 def _cmd_dim(sig: Signature, args):
     lam = parse_weight(sig, args.weight)
     degs = list(_deg2_range(args.range))
-    dims = [dim_component(sig, lam, d) for d in degs]
+    dims = component_dims(sig, lam, degs)
     return {"weight": format_weight(sig, lam), "deg2": degs, "dims": dims}, ",".join(str(d) for d in dims)
 
 
@@ -108,6 +110,18 @@ def _cmd_embed(sig: Signature, args):
     ]
     return {"result": text, "states": states}, text
 
+
+# Each subcommand: its function, help text and positional arguments after
+# the configuration file.  `run` loads the configuration and calls the
+# function with the signature and the parsed arguments.
+COMMANDS = {
+    "normal-form": (_cmd_normal_form, "reduce an element onto the basis", ("expr",)),
+    "basis": (_cmd_basis, "list basic words of a component", ("weight", "deg2")),
+    "dim": (_cmd_dim, "dimensions over a doubled-degree range", ("weight", "range")),
+    "product": (_cmd_product, "product of two elements", ("left", "mode", "right")),
+    "embed": (_cmd_embed, "image in the lattice Fock space", ("expr",)),
+}
+_ARG_HELP = {"range": "deg2 range, e.g. 4..12"}
 
 # Each verify suite: its function, the configuration file it reads (the
 # wording after "needs"; None if it reads none) and its integer parameters as
@@ -158,34 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normal-form", help="reduce an element onto the basis")
-    p.add_argument("config")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_normal_form)
-
-    p = sub.add_parser("basis", help="list basic words of a component")
-    p.add_argument("config")
-    p.add_argument("weight")
-    p.add_argument("deg2")
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("dim", help="dimensions over a doubled-degree range")
-    p.add_argument("config")
-    p.add_argument("weight")
-    p.add_argument("range", help="deg2 range, e.g. 4..12")
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("product", help="product of two elements")
-    p.add_argument("config")
-    p.add_argument("left")
-    p.add_argument("mode")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("embed", help="image in the lattice Fock space")
-    p.add_argument("config")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_embed)
+    for command, (func, text, positionals) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for arg in ("config",) + positionals:
+            p.add_argument(arg, help=_ARG_HELP.get(arg))
+        p.set_defaults(func=func)
 
     for suite, text in (
         ("dong", "locality order closed form vs brute force"),

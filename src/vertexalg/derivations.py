@@ -13,9 +13,10 @@ unrolls on a word l1...lk vac, l_i = a_i(n_i), into one pass over its letters:
 
 A one-letter word b(k) vac of an action value is the divided power
 D^(j) b, j = -k-1, so its product is the one-letter rule of the free
-product, applied directly: (b(k) vac) [p] y = (-1)^j C(p,j) b(p-j) y.  The
-Heisenberg and Virasoro derivations have only such values, and a long word
-costs one prepend per letter.  Longer values go through `words.product`.
+product (`words.letter_rule`), applied directly:
+(b(k) vac) [p] y = (-1)^j C(p,j) b(p-j) y.  The Heisenberg and Virasoro
+derivations have only such values, and a long word costs one prepend per
+letter.  Longer values go through `words.product`.
 
 Null words (a tail below its degree floor, see `rewrite.is_null_word`) are
 dropped from the value, so it does not depend on which terms the degree
@@ -31,21 +32,14 @@ from dataclasses import dataclass
 
 from .rewrite import is_null_word
 from .signature import Signature
-from .words import FreeElement, ZERO, binomial, product, word_element
+from .words import FreeElement, binomial, letter_rule, product, word_element
 
 
 @dataclass(frozen=True)
 class DerivationSpec:
-    """Finite generator actions: actions[g] lists (mode, value) pairs."""
+    """Finite generator actions: actions[g] lists (mode, value) pairs, each mode at most once."""
 
     actions: tuple  # tuple over generators of tuple[(mode, FreeElement), ...]
-    locality: int   # uniform bound: alpha(s) B = 0 for s >= locality
-
-    def action(self, g: int, s: int) -> FreeElement:
-        for mode, value in self.actions[g]:
-            if mode == s:
-                return value
-        return ZERO
 
 
 def heisenberg_derivation(sig: Signature, f) -> DerivationSpec:
@@ -57,7 +51,7 @@ def heisenberg_derivation(sig: Signature, f) -> DerivationSpec:
             actions.append(((0, word_element(((g, -1),)).scale(f[g])),))
         else:
             actions.append(())
-    return DerivationSpec(tuple(actions), 1)
+    return DerivationSpec(tuple(actions))
 
 
 def virasoro_derivation(sig: Signature, f) -> DerivationSpec:
@@ -69,7 +63,7 @@ def virasoro_derivation(sig: Signature, f) -> DerivationSpec:
         if f[g]:
             acts.append((1, word_element(((g, -1),)).scale(f[g])))
         actions.append(tuple(acts))
-    return DerivationSpec(tuple(actions), 2)
+    return DerivationSpec(tuple(actions))
 
 
 def apply_derivation(sig: Signature, spec: DerivationSpec, m: int, x: FreeElement) -> FreeElement:
@@ -80,17 +74,19 @@ def apply_derivation(sig: Signature, spec: DerivationSpec, m: int, x: FreeElemen
     for w, c in x.terms.items():
         for i, (a, n) in enumerate(w):
             head, tail = w[:i], w[i + 1 :]
-            for s in range(min(m, spec.locality - 1) + 1):
+            for s, value in spec.actions[a]:
+                if s > m:
+                    continue
                 p = m + n - s
-                for v, cv in spec.action(a, s).terms.items():
+                for v, cv in value.terms.items():
                     cv *= binomial(m, s) * c
                     if len(v) == 1:
                         (b, k), = v
-                        j = -k - 1
-                        t = binomial(p, j)
-                        if t:
-                            key = head + ((b, p - j),) + tail
-                            data[key] = data.get(key, 0) + (-cv * t if j & 1 else cv * t)
+                        rule = letter_rule(k, p)
+                        if rule:
+                            t, q = rule
+                            key = head + ((b, q),) + tail
+                            data[key] = data.get(key, 0) + cv * t
                         continue
                     for w2, c2 in product(sig, word_element(v), p, word_element(tail)).terms.items():
                         key = head + w2

@@ -75,7 +75,7 @@ from .signature import (
     pairing,
     weight_add,
 )
-from .words import Combination, FreeElement, Word, accumulate, binomial
+from .words import Combination, FreeElement, Word, accumulate, binomial, format_terms
 
 # A state is (heis, charge); heis is a tuple of (level, gen) with level >= 1.
 State = tuple
@@ -760,11 +760,4 @@ def format_state(sig: Signature, st: State) -> str:
 
 
 def format_fock(sig: Signature, x: FockElement) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for st in sorted(x.terms):
-        c = x.terms[st]
-        body = format_state(sig, st)
-        parts.append(body if c == 1 else f"{c} * {body}")
-    return " + ".join(parts)
+    return format_terms(x, lambda st: format_state(sig, st))

@@ -27,7 +27,11 @@ from .words import FreeElement, Word, accumulate, binomial
 
 
 class StepBudgetExceeded(RuntimeError):
-    """A normal form needed more fresh expansions than its step budget allows."""
+    """A normal form needed more fresh expansions than `STEP_BUDGET` allows."""
+
+
+# fresh expansions allowed per `normal_form` call
+STEP_BUDGET = 500_000
 
 
 @dataclass
@@ -167,7 +171,7 @@ def termination_measure(sig: Signature, w: Word):
 _NF_CACHE: dict = {}
 
 
-def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard, budget: int):
+def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard):
     """Fully reduce a non-null word, memoized.
 
     Post-order evaluation of the reduction dag: each word is expanded at
@@ -190,7 +194,7 @@ def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard, bu
                 stack.pop()
                 continue
             guard[0] += 1
-            if guard[0] > budget:
+            if guard[0] > STEP_BUDGET:
                 raise StepBudgetExceeded("rewriting step budget exceeded (likely a bug)")
             exp = _expand(sig, w, j, e)
             pending[w] = exp
@@ -208,19 +212,14 @@ def _reduce_word(sig: Signature, w0: Word, strategy: str, cache: dict, guard, bu
     return cache[w0]
 
 
-def normal_form(
-    sig: Signature,
-    x: FreeElement,
-    strategy: str = "leftmost",
-    step_budget: int = 500_000,
-) -> RewriteOutcome:
+def normal_form(sig: Signature, x: FreeElement, strategy: str = "leftmost") -> RewriteOutcome:
     """Reduce an element to the span of basic words.
 
     Degree rules kill words eagerly (and have priority inside every
     expansion); the locality rule then fires at the chosen redex of each
     remaining word.  Words reduce independently and the per-word reduced
     forms are memoized, so repeated reductions in the same component are
-    cheap.  Termination is guaranteed; the step budget (counting fresh
+    cheap.  Termination is guaranteed; `STEP_BUDGET` (counting fresh
     expansions in this call) only guards against implementation bugs.
     """
     _check_strategy(strategy)
@@ -233,7 +232,7 @@ def normal_form(
         if is_null_word(sig, w):
             q_kills += 1
             continue
-        rw, sw = _reduce_word(sig, w, strategy, cache, guard, step_budget)
+        rw, sw = _reduce_word(sig, w, strategy, cache, guard)
         steps += sw
         accumulate(data, rw, c)
     return RewriteOutcome(FreeElement(data), steps, q_kills)

@@ -191,6 +191,21 @@ def _prepend(a: int, k: int, x: FreeElement) -> FreeElement:
     return FreeElement(data)
 
 
+def letter_rule(n: int, m: int):
+    """The one-letter rule: a(n) vac is D^(j) a with j = -n-1, and
+    (D^(j) a) [m] = (-1)^j C(m, j) a(m-j).
+
+    Returns (coefficient, mode m-j), or None when the product is 0.
+    """
+    if n >= 0:
+        return None
+    j = -n - 1
+    c = binomial(m, j)
+    if not c:
+        return None
+    return (-c if j & 1 else c), m - j
+
+
 @cache
 def _word_product(sig: Signature, wu: Word, m: int, wv: Word) -> FreeElement:
     """Product (word wu) [m] (word wv), as an element.
@@ -208,15 +223,11 @@ def _word_product(sig: Signature, wu: Word, m: int, wv: Word) -> FreeElement:
         return word_element(wv) if m == -1 else ZERO
     a, n = wu[0]
     if len(wu) == 1:
-        if n >= 0:
+        rule = letter_rule(n, m)
+        if rule is None:
             return ZERO
-        j = -n - 1
-        c = binomial(m, j)
-        if not c:
-            return ZERO
-        if j & 1:
-            c = -c
-        return _prepend(a, m - j, word_element(wv)).scale(c)
+        c, k = rule
+        return _prepend(a, k, word_element(wv)).scale(c)
 
     tail = wu[1:]
     koszul = -1 if sig.parity(a) and word_parity(sig, tail) else 1
@@ -323,13 +334,14 @@ def format_word(sig: Signature, w: Word) -> str:
     return "".join(f"{sig.generators[g]}({n})" for g, n in w) + "vac"
 
 
-def format_element(sig: Signature, x: FreeElement) -> str:
-    """Canonical printer: words in canonical order, `c * word` terms."""
+def format_terms(x: Combination, body, key=None) -> str:
+    """Terms in `key` order as `body` or `c * body`, joined by ` + `; `0` when x is zero."""
     if x.is_zero():
         return "0"
-    parts = []
-    for w in sorted(x.terms, key=lambda w: sort_key(sig, w)):
-        c = x.terms[w]
-        body = format_word(sig, w)
-        parts.append(body if c == 1 else f"{c} * {body}")
-    return " + ".join(parts)
+    terms = x.terms
+    return " + ".join(body(k) if terms[k] == 1 else f"{terms[k]} * {body(k)}" for k in sorted(terms, key=key))
+
+
+def format_element(sig: Signature, x: FreeElement) -> str:
+    """Canonical printer: words in canonical order, `c * word` terms."""
+    return format_terms(x, lambda w: format_word(sig, w), lambda w: sort_key(sig, w))

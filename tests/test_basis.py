@@ -8,6 +8,7 @@ from vertexalg.basis import (
     ColoredPartition,
     basis_words,
     colored_partitions,
+    component_dims,
     dim_component,
     minimal_word,
     word_from_partition,
@@ -129,6 +130,18 @@ def test_dim_dp_matches_enumeration():
     for sig in ALL_SIGS:
         for lam, d2 in components(sig, max_size=4, extra=12):
             assert dim_component(sig, lam, d2) == len(basis_words(sig, lam, d2)), (sig.generators, lam, d2)
+
+
+def test_component_dims_match_per_degree():
+    # one series over a range against the count per degree, on every
+    # criterion-1 weight; the ranges take in negative, odd and below-floor
+    # degrees, and one lies wholly below the floor
+    for sig in ALL_SIGS:
+        for lam in {lam for lam, _ in components(sig, max_size=4, extra=0)}:
+            floor = min_deg2(sig, lam)
+            for degs in (range(min(-3, floor - 5), floor + 14), range(floor - 6, floor)):
+                assert component_dims(sig, lam, degs) == [dim_component(sig, lam, d) for d in degs]
+    assert component_dims(SIG_FREE2, (-1, 2), range(7)) == [0] * 7
 
 
 def test_dim_large_component(free2):

@@ -219,8 +219,9 @@ def _through_product(sig, spec, m, x):
     data = {}
     for w, c in x.terms.items():
         for i, (a, n) in enumerate(w):
-            for s in range(min(m, spec.locality - 1) + 1):
-                value = spec.action(a, s)
+            for s, value in spec.actions[a]:
+                if s > m:
+                    continue
                 for w2, c2 in product(sig, value, m + n - s, word_element(w[i + 1 :])).terms.items():
                     key = w[:i] + w2
                     data[key] = data.get(key, 0) + binomial(m, s) * c * c2
@@ -236,7 +237,7 @@ def test_one_letter_rule_matches_free_product():
         mixed = tuple(
             ((0, word_element(((g, -2),)) + word_element(((g, -1), (0, -1))).scale(3)),) for g in range(sig.size)
         )
-        specs = (heisenberg_derivation(sig, f), virasoro_derivation(sig, f), DerivationSpec(mixed, 1))
+        specs = (heisenberg_derivation(sig, f), virasoro_derivation(sig, f), DerivationSpec(mixed))
         nonzero = 0
         for _ in range(40):
             x = FreeElement({random_short_word(sig, rng, max_len=4): rng.randint(1, 3) for _ in range(2)})

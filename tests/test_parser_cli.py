@@ -238,7 +238,11 @@ def test_cli_resource_limit_exit(ferm_cfg, capsys, monkeypatch, exc):
 def test_cli_too_large_exit(ferm_cfg, capsys, monkeypatch):
     # a degree whose DP table cannot be indexed, and a mode whose factorial
     # overflows, fail before anything is allocated
-    for argv in (["dim", ferm_cfg, "2a", str(10**20)], ["embed", ferm_cfg, f"a({-10**20})vac"]):
+    for argv in (
+        ["dim", ferm_cfg, "2a", str(10**20)],
+        ["basis", ferm_cfg, "2a", str(10**20)],
+        ["embed", ferm_cfg, f"a({-10**20})vac"],
+    ):
         assert cli.run(argv) == cli.EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -248,7 +252,7 @@ def test_cli_too_large_exit(ferm_cfg, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("out of memory")
 
-    monkeypatch.setattr(cli, "dim_component", exhausted)
+    monkeypatch.setattr(cli, "component_dims", exhausted)
     assert cli.run(["dim", ferm_cfg, "2a", "4..6"]) == cli.EXIT_RESOURCE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "resource limit: out of memory\n")
@@ -390,3 +394,123 @@ def test_cli_presentation_lattice_config(tmp_path, capsys):
     cfg.write_text('{"generators": ["a"], "gram": [[1]]}')
     assert cli.run(["verify", "presentation", str(cfg)]) == 0
     assert "result: PASS" in capsys.readouterr().out
+
+
+# `vertexalg -h` and every subcommand's `-h`, at 80 columns
+HELP_TEXT = {
+    (): (
+        "usage: vertexalg [-h] [--format {text,machine}]\n"
+        "                 {normal-form,basis,dim,product,embed,dong,locfun,verify} ...\n"
+        "\n"
+        "Exact calculator for free and lattice vertex algebras.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {normal-form,basis,dim,product,embed,dong,locfun,verify}\n"
+        "    normal-form         reduce an element onto the basis\n"
+        "    basis               list basic words of a component\n"
+        "    dim                 dimensions over a doubled-degree range\n"
+        "    product             product of two elements\n"
+        "    embed               image in the lattice Fock space\n"
+        "    dong                locality order closed form vs brute force (same as\n"
+        "                        verify dong)\n"
+        "    locfun              locality function of the conformal algebra (same as\n"
+        "                        verify locfun)\n"
+        "    verify              run a verification suite\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,machine}\n"
+        "                        text output or one JSON record per result line\n"
+    ),
+    ("normal-form",): (
+        "usage: vertexalg normal-form [-h] config expr\n"
+        "\n"
+        "positional arguments:\n"
+        "  config\n"
+        "  expr\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("basis",): (
+        "usage: vertexalg basis [-h] config weight deg2\n"
+        "\n"
+        "positional arguments:\n"
+        "  config\n"
+        "  weight\n"
+        "  deg2\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("dim",): (
+        "usage: vertexalg dim [-h] config weight range\n"
+        "\n"
+        "positional arguments:\n"
+        "  config\n"
+        "  weight\n"
+        "  range       deg2 range, e.g. 4..12\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("product",): (
+        "usage: vertexalg product [-h] config left mode right\n"
+        "\n"
+        "positional arguments:\n"
+        "  config\n"
+        "  left\n"
+        "  mode\n"
+        "  right\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("embed",): (
+        "usage: vertexalg embed [-h] config expr\n"
+        "\n"
+        "positional arguments:\n"
+        "  config\n"
+        "  expr\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("dong",): (
+        "usage: vertexalg dong [-h] [params ...]\n"
+        "\n"
+        "positional arguments:\n"
+        "  params\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("locfun",): (
+        "usage: vertexalg locfun [-h] [params ...]\n"
+        "\n"
+        "positional arguments:\n"
+        "  params\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("verify",): (
+        "usage: vertexalg verify [-h] suite [params ...]\n"
+        "\n"
+        "positional arguments:\n"
+        "  suite\n"
+        "  params\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXT), ids=lambda c: " ".join(c) or "main")
+def test_cli_help_text(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.run([*command, "-h"])
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (HELP_TEXT[command], "")

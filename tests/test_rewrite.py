@@ -10,6 +10,7 @@ from vertexalg.rewrite import (
     find_redex,
     is_basic,
     is_null_word,
+    StepBudgetExceeded,
     normal_form,
     termination_measure,
 )
@@ -283,3 +284,20 @@ def test_normal_form_supported_on_floor_components():
                 assert word_weight(sig, u) == lam
                 assert word_deg2(sig, u) == d2
                 assert is_basic(sig, u)
+
+
+def test_step_budget_guard(free2, monkeypatch):
+    # the guard counts fresh expansions per call: a word that needs 4 passes
+    # a budget of 4 and raises under a budget of 3
+    x = FreeElement({((1, -1), (0, -1), (1, -1), (0, -4)): 1})
+    monkeypatch.setattr(rewrite, "_NF_CACHE", {})
+    want = normal_form(free2, x)
+    fresh = [r for r, steps in rewrite._NF_CACHE[(free2, "leftmost")].values() if steps]
+    assert want.steps == len(fresh) == 4
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 4)
+    monkeypatch.setattr(rewrite, "_NF_CACHE", {})
+    assert normal_form(free2, x) == want
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
+    monkeypatch.setattr(rewrite, "_NF_CACHE", {})
+    with pytest.raises(StepBudgetExceeded, match="rewriting step budget exceeded"):
+        normal_form(free2, x)

@@ -14,11 +14,13 @@ from vertexalg.words import (
     evaluate,
     format_element,
     gen_element,
+    letter_rule,
     product,
     translate,
     word_deg2,
     word_grade,
     word_parity,
+    word_element,
     word_weight,
 )
 from vertexalg.signature import weight_add
@@ -32,6 +34,21 @@ def test_binomial_general_integers():
     assert binomial(-2, 2) == 3
     assert binomial(3, 5) == 0
     assert binomial(4, -1) == 0
+
+
+@pytest.mark.parametrize("sig", [SIG_FERM, SIG_FREE2], ids=["ferm", "free2"])
+def test_one_letter_rule_against_translation(sig):
+    # (a(n) vac) [m] vac = D^(-m-1) a(n) vac for m <= -1 and 0 for m >= 0;
+    # translate iterates D and shares no code with the rule
+    for g in range(sig.size):
+        for n in range(-5, 0):
+            x = word_element(((g, n),))
+            for m in range(-6, 4):
+                want = translate(x, -m - 1) if m <= -1 else ZERO
+                rule = letter_rule(n, m)
+                assert (ZERO if rule is None else word_element(((g, rule[1]),)).scale(rule[0])) == want
+                assert product(sig, x, m, VACUUM) == want
+                assert m >= 0 or not want.is_zero()
 
 
 def test_word_grade_examples(ferm):
