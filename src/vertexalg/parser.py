@@ -47,9 +47,9 @@ def _tokenize(text: str):
             tokens.append((_PUNCT[ch], ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", int(text[i:j]), i))
             i = j

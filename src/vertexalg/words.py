@@ -170,8 +170,6 @@ def translate(x: FreeElement, k: int = 1) -> FreeElement:
         data = {}
         for w, c in cur.terms.items():
             for i, (g, n) in enumerate(w):
-                if n == 0:
-                    continue
                 w2 = w[:i] + ((g, n - 1),) + w[i + 1 :]
                 data[w2] = data.get(w2, 0) - n * c
         cur = FreeElement(data)
@@ -183,12 +181,7 @@ def translate(x: FreeElement, k: int = 1) -> FreeElement:
 
 def _prepend(a: int, k: int, x: FreeElement) -> FreeElement:
     """Left-multiply every word of x by the letter a(k)."""
-    data = {}
-    for w, c in x.terms.items():
-        if not w and k >= 0:
-            continue
-        data[((a, k),) + w] = c
-    return FreeElement(data)
+    return FreeElement({((a, k),) + w: c for w, c in x.terms.items()})
 
 
 def letter_rule(n: int, m: int):
@@ -197,8 +190,6 @@ def letter_rule(n: int, m: int):
 
     Returns (coefficient, mode m-j), or None when the product is 0.
     """
-    if n >= 0:
-        return None
     j = -n - 1
     c = binomial(m, j)
     if not c:
@@ -242,8 +233,6 @@ def _word_product(sig: Signature, wu: Word, m: int, wv: Word) -> FreeElement:
         s_hi = min(s_hi, n)
     for s in range(0, s_hi + 1):
         b = binomial(n, s)
-        if not b:
-            continue
         inner = _word_product(sig, tail, m + s, wv)
         if inner.is_zero():
             continue
@@ -260,8 +249,6 @@ def _word_product(sig: Signature, wu: Word, m: int, wv: Word) -> FreeElement:
             s_lo = max(s_lo, 0)
         for s in range(s_lo, n + 1):
             b = binomial(n, n - s)
-            if not b:
-                continue
             inner = _word_product(sig, tail, m + s, ((a, n - s),) + wv)
             if inner.is_zero():
                 continue

@@ -1,10 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vertexalg
 
@@ -66,6 +69,21 @@ def test_parse_weight_forms():
     assert parse_weight(SIG_FREE2, "0") == (0, 0)
     with pytest.raises(ParseError):
         parse_weight(SIG_FREE2, "2c")
+
+
+def test_parse_non_decimal_digits():
+    # integers are read with str.isdecimal, which accepts exactly what int() reads:
+    # a superscript digit is an unexpected character, an Arabic-Indic digit a digit
+    with pytest.raises(ParseError) as err:
+        parse_expr(SIG_FERM, "a(\u00b2)vac")
+    assert (err.value.message, err.value.position) == ("unexpected character '\u00b2'", 2)
+    with pytest.raises(ParseError) as err:
+        parse_weight(SIG_FREE2, "\u00b2a")
+    assert err.value.position == 0
+    with pytest.raises(ParseError):
+        parse_element(SIG_FERM, "\u00bd * a(-1)vac")
+    assert parse_expr(SIG_FERM, "a(-\u0661)vac") == parse_expr(SIG_FERM, "a(-1)vac")
+    assert parse_weight(SIG_FREE2, "\u0662a+b") == (2, 1)
 
 
 @pytest.fixture
@@ -181,6 +199,17 @@ def test_cli_runs_in_one_process_match_fresh_processes(ferm_cfg, tmp_path, capsy
 def test_cli_parse_error_exit(ferm_cfg, capsys):
     assert cli.run(["normal-form", ferm_cfg, "a(-1"]) == 1
     assert "offset 4" in capsys.readouterr().err
+
+
+def test_cli_non_decimal_digits_exit(ferm_cfg, capsys):
+    # a non-decimal digit in an expression or a weight is a parse error (exit 1),
+    # not Python's int() message
+    assert cli.run(["normal-form", ferm_cfg, "a(\u00b2)vac"]) == 1
+    assert capsys.readouterr().err == "parse error: unexpected character '\u00b2' at offset 2\n"
+    assert cli.run(["basis", ferm_cfg, "\u00b2a", "4"]) == 1
+    assert capsys.readouterr().err == "parse error: unexpected character '\u00b2' at offset 0\n"
+    assert cli.run(["normal-form", ferm_cfg, "a(-\u0662)a(-\u0661)vac"]) == 0
+    assert capsys.readouterr().out == "a(-2)a(-1)vac\n"
 
 
 def test_cli_validation_error_exit(tmp_path, capsys):
@@ -514,3 +543,66 @@ def test_cli_help_text(command, capsys, monkeypatch):
         cli.run([*command, "-h"])
     assert stop.value.code == 0
     assert capsys.readouterr() == (HELP_TEXT[command], "")
+
+
+# The fuzzed texts are drawn from the grammar's characters plus `vac`, two
+# letters with a mode (so that more texts parse), two non-decimal digits
+# (superscript two, one half), an Arabic-Indic digit, a letter outside
+# ASCII, `_` and a no-break space.
+FUZZ_TOKENS = (
+    "a", "b", "vac", "a(-1)", "b(-2)", "(", ")", "[", "]", "+", "-", "*", "/", " ", "0", "1", "2",
+    "\u00b2", "\u0661", "\u00bd", "\u00e9", "_", "\u00a0",
+)
+FUZZ_INTEGERS = ("-2", "0", "3", "x", "\u00b2")
+FUZZ_CONFIGS = {
+    "ferm": '{"generators": ["a"], "locality": [[-1]]}',
+    "free2": '{"generators": ["a", "b"], "locality": [[2, 2], [2, 2]]}',
+    "neg": '{"generators": ["a", "b"], "locality": [[-2, 1], [1, 0]]}',
+}
+
+
+def _join_tokens(tokens):
+    # a space between two digit tokens keeps every integer one digit long: a
+    # long mode such as a(-222) is a question of cost, not of the front end
+    text = ""
+    for tok in tokens:
+        if text[-1:].isdecimal() and tok[0].isdecimal():
+            text += " "
+        text += tok
+    return text
+
+
+_fuzz_texts = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=12).map(_join_tokens)
+_fuzz_commands = st.one_of(
+    st.tuples(st.just("normal-form"), _fuzz_texts),
+    st.tuples(st.just("embed"), _fuzz_texts),
+    st.tuples(st.just("product"), _fuzz_texts, st.sampled_from(FUZZ_INTEGERS), _fuzz_texts),
+    st.tuples(st.just("basis"), _fuzz_texts, st.sampled_from(FUZZ_INTEGERS)),
+    st.tuples(st.just("dim"), _fuzz_texts, st.just("0..6")),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_cfgs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FUZZ_CONFIGS.items():
+        (root / f"{name}.cfg").write_text(doc)
+    return {name: str(root / f"{name}.cfg") for name in FUZZ_CONFIGS}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(command=_fuzz_commands, config=st.sampled_from(sorted(FUZZ_CONFIGS)))
+@example(command=("normal-form", "a(\u00b2)vac"), config="ferm")
+@example(command=("basis", "\u00b2a", "4"), config="ferm")
+def test_cli_fuzz_expression_commands(fuzz_cfgs, command, config):
+    # every input gets an answer or a documented exit code, never Python's own message
+    name, *params = command
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run([name, fuzz_cfgs[config], *params])
+        except SystemExit as stop:  # argparse
+            code = stop.code
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert "invalid literal" not in err.getvalue()

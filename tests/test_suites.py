@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vertexalg import SignatureError, fock, make_signature
+from vertexalg import SignatureError, fock, make_signature, suites
 from vertexalg.suites import (
     SuiteReport,
     dong_locality,
@@ -54,6 +54,36 @@ def test_verify_dong_one_product_scan_per_pair_and_k(monkeypatch):
     assert fock._letter_step.cache_info().misses == 46
 
 
+DONG_SIGS = (
+    SIG_FERM,
+    SIG_FREE2,
+    make_signature(["a", "b"], [[-2, 1], [1, 0]]),
+    make_signature(["a", "b", "c"], [[-2, 1, 0], [1, 2, -1], [0, -1, 1]]),
+)
+
+
+@pytest.mark.parametrize("shift", (1, -1))
+def test_verify_dong_failing_records(monkeypatch, shift):
+    # a closed form one too high finds no nonzero mode at or above it (`< e`);
+    # one too low finds the true order, e + 1
+    real = suites.dong_locality
+    monkeypatch.setattr(suites, "dong_locality", lambda *args: real(*args) + shift)
+    for sig, size in zip(DONG_SIGS, (4, 32, 32, 108)):
+        rep = verify_dong(sig, 3)
+        assert len(rep.checks) == size
+        for c in rep.checks:
+            want = f"< {c.expected}" if shift == 1 else str(int(c.expected) + 1)
+            assert (c.status, c.computed) == ("fail", want), c
+
+
+def test_verify_dong_never_skips():
+    # v_b [N(a,b)-k-1] v_a is +-S_k(b) v_(a+b) with k >= 0, never 0: no record is a skip
+    for sig in DONG_SIGS:
+        rep = verify_dong(sig, 3)
+        assert rep.all_pass
+        assert {c.status for c in rep.checks} == {"pass"}
+
+
 def test_verify_locfun_formula():
     rep = verify_locfun(SIG_FREE2, (2, 3))
     assert rep.all_pass
@@ -89,6 +119,16 @@ def test_presentation_rank_two():
     assert scalar and scalar[0].computed == "v[0]"
 
 
+def test_presentation_inverse_with_zero_entries():
+    # Z^2: the inverse form has zero off-diagonal entries, which omega leaves out
+    rep = verify_presentation(make_signature(["a", "b"], [[-1, 0], [0, -1]]))
+    assert rep.all_pass
+    checks = {c.id: c for c in rep.checks}
+    assert checks["omega [3] omega (central scalar, reported)"].computed == "v[0]"
+    omega2 = checks["omega [1] omega = 2 omega"]
+    assert omega2.expected == omega2.computed == "a(-1)a(-1) v[0] + b(-1)b(-1) v[0]"
+
+
 def test_presentation_degenerate_form_skips_virasoro():
     rep = verify_presentation(make_signature(["a"], [[0]]))
     assert any(c.status == "skip" for c in rep.checks)
@@ -101,6 +141,19 @@ def test_boson_fermion_small():
     ids = {c.id for c in rep.checks}
     assert "p0 = -atil" in ids
     assert any(c.status == "report" for c in rep.checks)
+
+
+def test_boson_fermion_stability_rows_fail_outside_the_span(monkeypatch):
+    # a charge-7 vacuum added to every coefficient image leaves the embedded component
+    real = fock.product_word
+
+    def off_span(sig, word, n, x):
+        return real(sig, word, n, x) + fock.vacuum_element(sig, (7,))
+
+    monkeypatch.setattr(fock, "product_word", off_span)
+    rows = [c for c in verify_boson_fermion(2, 3).checks if "preserves embedded algebra" in c.id]
+    assert len(rows) == 12
+    assert all((c.status, c.computed) == ("fail", "no") for c in rows)
 
 
 def test_report_rendering_deterministic():
