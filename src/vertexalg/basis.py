@@ -41,11 +41,6 @@ class ColoredPartition:
         return sum(p for p, _ in self.parts)
 
 
-def _sorted_pairs(pairs):
-    # descending part, ascending color
-    return tuple(sorted(pairs, key=lambda pc: (-pc[0], pc[1])))
-
-
 def minimal_word(sig: Signature, lam: Weight) -> Word:
     """The unique basic word of weight lam at the degree floor."""
     letters = [g for g in range(sig.size) for _ in range(lam[g])]
@@ -77,8 +72,7 @@ def word_from_partition(sig: Signature, lam: Weight, pi: ColoredPartition) -> Wo
         if remaining[color] < 0:
             raise ValueError("partition uses a color more often than the weight allows")
     pairs.extend((0, g) for g in range(sig.size) for _ in range(remaining[g]))
-    ordered = _sorted_pairs(pairs)
-    return _word_for(sig, [c for _, c in ordered], [p for p, _ in ordered])
+    return _word_for(sig, [c for _, c in pairs], [p for p, _ in pairs])
 
 
 def colored_partitions(total: int, caps):

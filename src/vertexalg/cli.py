@@ -16,7 +16,7 @@ from functools import cache
 
 from . import fock
 from .basis import basis_words, component_dims, dim_component
-from .parser import ParseError, parse_element, parse_weight
+from .parser import ParseError, parse_element, parse_integer, parse_weight
 from .rewrite import StepBudgetExceeded, normal_form
 from .signature import Signature, SignatureError, format_weight, load_config
 from .suites import verify_boson_fermion, verify_dong, verify_locfun, verify_presentation
@@ -39,7 +39,7 @@ def _load(path: str) -> Signature:
 
 def _int_param(name: str, text: str, least: int = None) -> int:
     try:
-        value = int(text)
+        value = parse_integer(text)
     except ValueError:
         raise SignatureError(f"{name} must be an integer, got {text!r}") from None
     if least is not None and value < least:

@@ -141,18 +141,14 @@ def heis_act(sig: Signature, g: int, n: int, x: FockElement) -> FockElement:
             st = (_insert(heis, (-n, g)), charge)
             data[st] = data.get(st, 0) + c
         elif n == 0:
-            f = pairing(sig, sig.unit_weight(g), charge)
-            if f:
-                st = (heis, charge)
-                data[st] = data.get(st, 0) + f * c
+            st = (heis, charge)
+            data[st] = data.get(st, 0) + pairing(sig, sig.unit_weight(g), charge) * c
         else:
             for i, (k, h) in enumerate(heis):
                 if k != n:
                     continue
-                f = n * sig.gram(g, h)
-                if f:
-                    st = (heis[:i] + heis[i + 1 :], charge)
-                    data[st] = data.get(st, 0) + f * c
+                st = (heis[:i] + heis[i + 1 :], charge)
+                data[st] = data.get(st, 0) + n * sig.gram(g, h) * c
     return FockElement(data)
 
 
@@ -167,8 +163,7 @@ def charge_act(sig: Signature, lam: Weight, n: int, x: FockElement) -> FockEleme
     """lam(n) for a signed weight lam, extended linearly over generators."""
     data = {}
     for g, c in enumerate(lam):
-        if c:
-            accumulate(data, heis_act(sig, g, n, x), c)
+        accumulate(data, heis_act(sig, g, n, x), c)
     return FockElement(data)
 
 
@@ -180,9 +175,8 @@ def translate(sig: Signature, x: FockElement, k: int = 1) -> FockElement:
         data = {}
         for (heis, charge), c in x.terms.items():
             for g, mult in enumerate(charge):
-                if mult:
-                    st = (_insert(heis, (1, g)), charge)
-                    data[st] = data.get(st, 0) + mult * c
+                st = (_insert(heis, (1, g)), charge)
+                data[st] = data.get(st, 0) + mult * c
             for i, (j, g) in enumerate(heis):
                 st = (_insert(heis[:i] + heis[i + 1 :], (j + 1, g)), charge)
                 data[st] = data.get(st, 0) + j * c
@@ -521,8 +515,6 @@ def _word_step(rows: tuple, cw: CWord, m: int, items: frozenset) -> tuple:
     the e_i! S_{e_i}(a_i) once.  rows[i] = _charge_rows(sig, a_i) is all it
     reads of the signature.
     """
-    if not items:
-        return _ZERO
     d0, expansion = _word_expansion(rows, cw)
     if not expansion:
         return _ZERO

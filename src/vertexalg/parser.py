@@ -173,6 +173,14 @@ def parse_expr(sig: Signature, text: str):
     return expr
 
 
+def parse_integer(text: str) -> int:
+    """Parse a whole text by the grammar's `integer` rule: an optional '-' and decimal digits."""
+    parser = _Parser(None, text)
+    value = parser.integer()
+    parser.expect("EOF", "end of input")
+    return value
+
+
 def parse_element(sig: Signature, text: str) -> FreeElement:
     """Parse a full element (signed sum of scaled monomials) and evaluate it."""
     parser = _Parser(sig, text)

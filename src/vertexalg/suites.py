@@ -438,8 +438,6 @@ def verify_boson_fermion(k_max: int = 4, d_max: int = 6) -> SuiteReport:
                     rhs = rhs + _p_elem(sig, idx).scale(binomial(idx, m))
                 for s in range(0, m - k + 1):
                     jdx = m + n - k - s
-                    if jdx < 0:
-                        continue
                     coeff = binomial(jdx, n)
                     if (k + s) & 1:
                         coeff = -coeff

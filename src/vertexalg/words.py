@@ -88,8 +88,6 @@ class Combination:
         return type(self)({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        if not c:
-            return type(self)()
         return type(self)({k: c * x for k, x in self.terms.items()})
 
     def support(self):
@@ -233,11 +231,8 @@ def _word_product(sig: Signature, wu: Word, m: int, wv: Word) -> FreeElement:
         s_hi = min(s_hi, n)
     for s in range(0, s_hi + 1):
         b = binomial(n, s)
-        inner = _word_product(sig, tail, m + s, wv)
-        if inner.is_zero():
-            continue
         coeff = -b if s & 1 else b
-        accumulate(data, _prepend(a, n - s, inner), coeff)
+        accumulate(data, _prepend(a, n - s, _word_product(sig, tail, m + s, wv)), coeff)
 
     # second sum: tail [m+s] (a(n-s) wv) for s <= n, truncated where the
     # inner word falls below its degree floor; empty when wv is the vacuum
@@ -249,11 +244,8 @@ def _word_product(sig: Signature, wu: Word, m: int, wv: Word) -> FreeElement:
             s_lo = max(s_lo, 0)
         for s in range(s_lo, n + 1):
             b = binomial(n, n - s)
-            inner = _word_product(sig, tail, m + s, ((a, n - s),) + wv)
-            if inner.is_zero():
-                continue
             coeff = -koszul * b if not s & 1 else koszul * b
-            accumulate(data, inner, coeff)
+            accumulate(data, _word_product(sig, tail, m + s, ((a, n - s),) + wv), coeff)
 
     return FreeElement(data)
 
@@ -263,10 +255,7 @@ def product(sig: Signature, u: FreeElement, m: int, v: FreeElement) -> FreeEleme
     data = {}
     for wu, cu in u.terms.items():
         for wv, cv in v.terms.items():
-            part = _word_product(sig, wu, m, wv)
-            if part.is_zero():
-                continue
-            accumulate(data, part, cu * cv)
+            accumulate(data, _word_product(sig, wu, m, wv), cu * cv)
     return FreeElement(data)
 
 

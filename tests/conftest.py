@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cache
 
 import pytest
 
@@ -72,3 +73,21 @@ def random_element(sig, rng, nwords=2, max_len=3):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@cache
+def count_bounded(n, k):
+    """Partitions of n into at most k parts, by the classic two-way recursion."""
+    if n == 0:
+        return 1
+    if k == 0 or n < 0:
+        return 0
+    return count_bounded(n - k, k) + count_bounded(n, k - 1)
+
+
+def naive_colored_count(total, caps):
+    """Colored partitions of total with at most caps[c] parts of color c: the
+    per-color bounded-partition counts convolved, independent of the basis DP."""
+    if not caps:
+        return 1 if total == 0 else 0
+    return sum(count_bounded(c, caps[0]) * naive_colored_count(total - c, caps[1:]) for c in range(total + 1))

@@ -8,7 +8,6 @@ pytest -s).
 import itertools
 import random
 import time
-from functools import lru_cache
 
 from vertexalg import make_signature, min_deg2, pairing
 from vertexalg.basis import basis_words, dim_component
@@ -30,7 +29,7 @@ from vertexalg.suites import (
 from vertexalg.words import FreeElement, product, word_deg2, word_weight
 from vertexalg import fock
 
-from conftest import ALL_SIGS, SIG_FERM, SIG_FREE2, SIG_NEG, components, random_word_in
+from conftest import ALL_SIGS, SIG_FERM, SIG_FREE2, SIG_NEG, components, naive_colored_count, random_word_in
 
 ACCEPT_SIGS = (SIG_FERM, SIG_FREE2, SIG_NEG)
 
@@ -83,29 +82,12 @@ def test_criterion_2_linear_independence():
     _report(2, "linear independence", t0)
 
 
-@lru_cache(maxsize=None)
-def _bounded(n, k):
-    if n == 0:
-        return 1
-    if k == 0 or n < 0:
-        return 0
-    return _bounded(n - k, k) + _bounded(n, k - 1)
-
-
-def _naive_colored(total, caps):
-    if not caps:
-        return 1 if total == 0 else 0
-    return sum(
-        _bounded(c, caps[0]) * _naive_colored(total - c, caps[1:]) for c in range(total + 1)
-    )
-
-
 def test_criterion_3_dimension_formula():
     t0 = time.time()
     for sig in ACCEPT_SIGS:
         for lam, d2 in components(sig, max_size=4, extra=12):
             offset = d2 - min_deg2(sig, lam)
-            expected = _naive_colored(offset // 2, tuple(lam)) if offset % 2 == 0 else 0
+            expected = naive_colored_count(offset // 2, tuple(lam)) if offset % 2 == 0 else 0
             assert dim_component(sig, lam, d2) == expected, (sig.generators, lam, d2)
     _report(3, "dimension formula", t0)
 

@@ -1,5 +1,4 @@
 import itertools
-from functools import lru_cache
 
 import pytest
 
@@ -17,7 +16,7 @@ from vertexalg.basis import (
 from vertexalg.rewrite import is_basic
 from vertexalg.words import word_deg2
 
-from conftest import ALL_SIGS, SIG_FERM, SIG_FREE2, components
+from conftest import ALL_SIGS, SIG_FERM, SIG_FREE2, components, naive_colored_count
 
 
 def test_minimal_word_examples(ferm, free2):
@@ -96,32 +95,11 @@ def test_dim_examples(ferm):
             assert dim_component(sig, lam, min_deg2(sig, lam)) == 1
 
 
-@lru_cache(maxsize=None)
-def _count_bounded(n, k):
-    # partitions of n into at most k parts, classic two-way recursion
-    if n == 0:
-        return 1
-    if k == 0 or n < 0:
-        return 0
-    return _count_bounded(n - k, k) + _count_bounded(n, k - 1)
-
-
-def _naive_colored_count(total, caps):
-    # independent counter: convolve per-color bounded-partition counts
-    if not caps:
-        return 1 if total == 0 else 0
-    head, rest = caps[0], caps[1:]
-    return sum(
-        _count_bounded(c, head) * _naive_colored_count(total - c, rest)
-        for c in range(total + 1)
-    )
-
-
 def test_dims_match_naive_counter():
     for sig in ALL_SIGS:
         for lam, d2 in components(sig, max_size=4, extra=12):
             j2 = d2 - min_deg2(sig, lam)
-            expected = _naive_colored_count(j2 // 2, tuple(lam)) if j2 % 2 == 0 else 0
+            expected = naive_colored_count(j2 // 2, tuple(lam)) if j2 % 2 == 0 else 0
             assert dim_component(sig, lam, d2) == expected
 
 

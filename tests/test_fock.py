@@ -99,6 +99,8 @@ def test_translate_examples(ferm):
     assert translate(ferm, v2) == heis_act(ferm, 0, -1, v2).scale(2)
     x = heis_act(ferm, 0, -1, v0)
     assert translate(ferm, x) == heis_act(ferm, 0, -2, v0)
+    with pytest.raises(ValueError, match="negative divided power"):
+        translate(ferm, x, -1)
 
 
 def test_divided_translate_divides_once(ferm):
@@ -231,6 +233,19 @@ def test_homomorphism_on_random_pairs():
             rhs = product_word(sig, charged_word(sig, wu), m, embed(sig, v))
             assert lhs == rhs
             assert product_state(sig, embed(sig, u), m, embed(sig, v)) == lhs
+
+
+def test_empty_charged_word_is_the_vacuum():
+    # the image of vac: the unit at mode -1 and zero at every other mode
+    from vertexalg.words import VACUUM, product as fproduct
+    from conftest import random_element
+
+    for sig in ALL_SIGS:
+        rng = seeded(31)
+        for _ in range(5):
+            v = random_element(sig, rng)
+            for m in range(-3, 3):
+                assert product_word(sig, (), m, embed(sig, v)) == embed(sig, fproduct(sig, VACUUM, m, v))
 
 
 def test_state_product_agrees_with_word_route(ferm):

@@ -14,6 +14,7 @@ import vertexalg
 from vertexalg import ParseError, parse_element, parse_expr, parse_weight
 from vertexalg.words import FreeElement, Gen, Prod, Vac, evaluate, format_element
 from vertexalg import cli
+from vertexalg.basis import dim_component
 from vertexalg.rewrite import StepBudgetExceeded
 
 from conftest import SIG_FERM, SIG_FREE2
@@ -199,6 +200,12 @@ def test_cli_runs_in_one_process_match_fresh_processes(ferm_cfg, tmp_path, capsy
 def test_cli_parse_error_exit(ferm_cfg, capsys):
     assert cli.run(["normal-form", ferm_cfg, "a(-1"]) == 1
     assert "offset 4" in capsys.readouterr().err
+    for expr, message in (
+        ("a(b)vac", "expected an integer at offset 2"),
+        ("1/0 * vac", "zero denominator at offset 2"),
+    ):
+        assert cli.run(["normal-form", ferm_cfg, expr]) == 1
+        assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_cli_non_decimal_digits_exit(ferm_cfg, capsys):
@@ -220,25 +227,29 @@ def test_cli_validation_error_exit(tmp_path, capsys):
 
 
 MALFORMED_CONFIGS = (
-    '{"generators": null, "locality": [[1]]}',
-    '{"generators": 5, "locality": [[1]]}',
-    '{"generators": ["a"], "locality": null}',
-    '{"generators": ["a"], "locality": 5}',
-    '{"generators": ["a"], "locality": [5]}',
-    '{"generators": ["a"], "gram": [[true]]}',
-    '{"generators": [null], "locality": [[-1]]}',
+    ('{"generators": null, "locality": [[1]]}', "generators must be a list of names"),
+    ('{"generators": 5, "locality": [[1]]}', "generators must be a list of names"),
+    ('{"generators": ["a"], "locality": null}', "locality must be a matrix of integers"),
+    ('{"generators": ["a"], "locality": 5}', "locality must be a matrix of integers"),
+    ('{"generators": ["a"], "locality": [5]}', "locality must be a matrix of integers"),
+    ('{"generators": ["a"], "gram": [[true]]}', "gram entries must be integers, got True"),
+    ('{"generators": [null], "locality": [[-1]]}', "generator names must be identifiers other than 'vac', got None"),
+    ('{"generators": [], "locality": []}', "empty generator list"),
+    ('{"gram": [[1]]}', "lattice configuration needs 'generators' and 'gram'"),
+    ('{"generators": ["a"]}', "configuration needs a 'locality' or 'gram' matrix"),
+    ("[1]", "configuration must be a JSON object"),
 )
 
 
 def test_cli_malformed_configuration_exit(tmp_path, capsys):
     # malformed shapes and a boolean Gram entry are validation errors (exit 2), not tracebacks
     bad = tmp_path / "bad.cfg"
-    for doc in MALFORMED_CONFIGS:
+    for doc, message in MALFORMED_CONFIGS:
         bad.write_text(doc)
         assert cli.run(["basis", str(bad), "a", "0"]) == 2, doc
-        assert capsys.readouterr().err.startswith("validation error: "), doc
+        assert capsys.readouterr().err == f"validation error: {message}\n", doc
     env = dict(os.environ, PYTHONPATH=str(Path(vertexalg.__file__).parents[1]))
-    bad.write_text(MALFORMED_CONFIGS[0])
+    bad.write_text(MALFORMED_CONFIGS[0][0])
     proc = subprocess.run(
         [sys.executable, "-m", "vertexalg.cli", "embed", str(bad), "a(-1)vac"],
         capture_output=True,
@@ -399,6 +410,13 @@ def test_cli_out_of_range_params(free2_cfg, capsys):
         # integers that argparse used to read: the same message as every other integer
         (["basis", free2_cfg, "a", "x"], "deg2 must be an integer, got 'x'"),
         (["product", free2_cfg, "a(-1)vac", "y", "a(-1)vac"], "mode must be an integer, got 'y'"),
+        # forms that int() reads but the grammar's integer rule does not
+        (["basis", free2_cfg, "2a", "1_0"], "deg2 must be an integer, got '1_0'"),
+        (["basis", free2_cfg, "2a", "+10"], "deg2 must be an integer, got '+10'"),
+        (["basis", free2_cfg, "2a", " +10"], "deg2 must be an integer, got ' +10'"),
+        (["dim", free2_cfg, "2a", "0..1_0"], "deg2 must be an integer, got '1_0'"),
+        (["product", free2_cfg, "a(-1)vac", "+1", "a(-1)vac"], "mode must be an integer, got '+1'"),
+        (["verify", "dong", free2_cfg, "1_0"], "k_max must be an integer, got '1_0'"),
         # a parameter beyond those a suite reads
         (["verify", "dong", free2_cfg, "4", "9"], "verify dong reads at most config, k_max; got 3 parameters"),
         (["dong", free2_cfg, "4", "9"], "verify dong reads at most config, k_max; got 3 parameters"),
@@ -606,3 +624,36 @@ def test_cli_fuzz_expression_commands(fuzz_cfgs, command, config):
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert "invalid literal" not in err.getvalue()
+
+
+# Integer arguments fuzzed against the grammar: texts of up to six characters
+# from the decimal digits, the signs, `_`, `.`, a space, a no-break space,
+# two non-decimal digits (superscript two, one half) and an Arabic-Indic
+# digit.  A text with `..` is a `dim` range, not one integer, and the argument
+# `--` ends argparse's options, so both are left out.
+_integer_texts = st.text(alphabet="0123456789-+_.  ²١½", max_size=6).filter(
+    lambda text: ".." not in text and text != "--"
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=_integer_texts)
+@example(text="1_0")
+@example(text=" +10")
+@example(text="- 10")
+def test_cli_fuzz_integer_arguments(fuzz_cfgs, text):
+    # an integer argument reads exactly as a mode does in an expression
+    try:
+        expr = parse_expr(SIG_FERM, f"a({text})vac")
+    except ParseError:
+        expr = None
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(["dim", fuzz_cfgs["ferm"], "2a", text])
+    assert "Traceback" not in err.getvalue()
+    if expr is None:
+        assert code == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"validation error: deg2 must be an integer, got {text!r}\n")
+    else:
+        assert code == 0
+        assert (out.getvalue(), err.getvalue()) == (f"{dim_component(SIG_FERM, (2,), expr.mode)}\n", "")

@@ -62,6 +62,14 @@ def test_nonnegative_last_mode_dropped():
     assert x.support() == {((0, -1),)}
 
 
+def test_combination_hash_and_repr():
+    x = FreeElement({((0, -1),): 2})
+    assert hash(x) == hash(FreeElement({((0, -1),): 2, ((0, 0),): 5}))
+    assert len({x, x.scale(1), ZERO, FreeElement()}) == 2
+    assert repr(x) == "FreeElement({((0, -1),): 2})"
+    assert repr(ZERO) == "FreeElement({})"
+
+
 def test_translate_examples():
     a = gen_element(0)
     assert translate(a, 0) == a
@@ -69,6 +77,8 @@ def test_translate_examples():
     assert translate(a, 2) == FreeElement({((0, -3),): 1})
     assert all(type(c) is int for c in translate(a, 2).terms.values())
     assert translate(a.scale(Fraction(1, 2)), 3) == FreeElement({((0, -4),): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="negative divided power"):
+        translate(a, -1)
 
 
 def test_translate_is_derivation(ferm):
@@ -197,6 +207,8 @@ def test_evaluate_examples(ferm):
     # vacuum right unit: ((a [-2] a) [-1] vac) equals a [-2] a
     inner = Prod(Gen(0), -2, Gen(0))
     assert evaluate(ferm, Prod(inner, -1, Vac())) == evaluate(ferm, inner)
+    with pytest.raises(TypeError, match="not a vertex expression"):
+        evaluate(ferm, Prod(Gen(0), -1, "vac"))
 
 
 def test_format_element_canonical(ferm):
