@@ -157,6 +157,16 @@ def _run_suite(suite: str, params: list):
     return func(*args, tuple(values)) if many and values else func(*args, *values)
 
 
+# argparse strips a literal `--` out of positional arguments, differently in
+# different Python versions; it reads this stand-in instead, which no command
+# line can hold, and `_undash` gives the argument back.
+_DASHES = "\0--"
+
+
+def _undash(text: str) -> str:
+    return "--" if text == _DASHES else text
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
@@ -175,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (func, text, positionals) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for arg in ("config",) + positionals:
-            p.add_argument(arg, help=_ARG_HELP.get(arg))
+            p.add_argument(arg, type=_undash, help=_ARG_HELP.get(arg))
         p.set_defaults(func=func)
 
     for suite, text in (
@@ -183,12 +193,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("locfun", "locality function of the conformal algebra"),
     ):
         p = sub.add_parser(suite, help=f"{text} (same as verify {suite})")
-        p.add_argument("params", nargs="*")
+        p.add_argument("params", nargs="*", type=_undash)
         p.set_defaults(suite=suite)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite")
-    p.add_argument("params", nargs="*")
+    p.add_argument("suite", type=_undash)
+    p.add_argument("params", nargs="*", type=_undash)
 
     return parser
 
@@ -197,21 +207,26 @@ def _dash_positionals(argv: list) -> list:
     """Put `--` after the subcommand, so that a positional argument may begin
     with `-` (a weight such as -a+2b, an expression such as -a(-1)vac).
 
-    Subcommands take no options of their own, so nothing is lost; a help
-    request or an explicit `--` is left to argparse.
+    Subcommands take no options of their own, so nothing is lost; every
+    literal `--` after the subcommand is a positional argument like any
+    other, and a help request is left to argparse.
     """
     i = 0
     while i < len(argv) and argv[i].startswith("-"):
         i += 2 if argv[i] == "--format" else 1
-    rest = argv[i + 1 :]
-    if i >= len(argv) or any(a in ("--", "-h", "--help") for a in rest):
+    if i >= len(argv):
         return argv
+    rest = [_DASHES if a == "--" else a for a in argv[i + 1 :]]
+    if any(a in ("-h", "--help") for a in rest):
+        return argv[: i + 1] + rest
     return argv[: i + 1] + ["--"] + rest
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_dash_positionals(sys.argv[1:] if argv is None else list(argv)))
+    args, extra = parser.parse_known_args(_dash_positionals(sys.argv[1:] if argv is None else list(argv)))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(map(_undash, extra))}")
     try:
         if "suite" in args:
             return _emit_report(args, _run_suite(args.suite, args.params))

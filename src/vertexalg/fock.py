@@ -25,14 +25,17 @@ are combinations of the remaining right states; each entry meets the
 letter step once, and its created letters join the step's output after
 it.
 
-Locality orders are read off the letter step too.  `locality_order` scans
-the modes of one charged product down from `locality_upper` on one
-letter-step key and reads only whether each value is zero.
-`vacuum_product_orders` runs that scan for several charges on one vacuum
-product v_a [n] v_b: its key is the letter step's integer numerators as
-they are, with no division into fractions and back, and the highest
-creation level of each charge of the product is found once for the bounds
-of all the scans.
+Locality orders are read off E^+ alone.  On a state of charge beta,
+Y(v_a, z) st = eps z^{(a|beta)} E^-(a, z) E^+(a, z) st, and E^-(a, z) has
+constant term 1, so the lowest power of z with a nonzero coefficient is
+(a|beta) - K, K the largest contracted level whose kept parts do not
+cancel: the highest nonzero mode is K - (a|beta) - 1.  `_top_order` sums
+the contraction coefficients of every state by (order, kept letters,
+charge) in one pass and reads the largest order whose sum is nonzero; it
+builds no Schur polynomial and scans no mode.  `locality_order` and
+`vacuum_product_orders` both go through it, the latter on the letter
+step's integer numerators of one vacuum product v_a [n] v_b as they are,
+with no division into fractions and back.
 
 Every kernel value is a pair (numerators, denom): a dict from state to
 nonzero int over one positive int denominator.  Cocycle signs always sit in
@@ -51,8 +54,9 @@ agree on the rows share their entries, the reduced image of a word after
 each letter of the embedding and the cleared image `embed(v)` that a
 one-letter product receives are the same key, and so are a right element
 that `product_charged` receives and the one group a left charged vacuum
-makes of it in the general product.  `_schur`, `_schur_product` and
-`_compositions` never read a signature.  Only `_charge_rows` and the
+makes of it in the general product.  `_top_order` is keyed by the pairing
+row alone, the combination and the lowest mode.  `_schur`, `_schur_product`
+and `_compositions` never read a signature.  Only `_charge_rows` and the
 embedding of a word, `_embed_word`, are keyed by the signature.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
@@ -363,57 +367,59 @@ def product_charged(sig: Signature, alpha: Weight, n: int, x: FockElement) -> Fo
     return _divide(*_apply_letter(_charge_rows(sig, alpha), alpha, n, *_clear(x)))
 
 
-def _top_levels(states) -> dict:
-    """The highest creation level of the states of each charge: {charge: level}."""
-    tops = {}
-    for heis, beta in states:
-        level = sum(k for k, _ in heis)
-        if tops.get(beta, -1) < level:
-            tops[beta] = level
-    return tops
-
-
-def _upper(pair, tops: dict) -> int:
-    """locality_upper for the pairing row pair of a charge and the _top_levels of an element."""
-    return max((sum(map(mul, beta, pair)) + level for beta, level in tops.items()), default=0)
-
-
 def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
     """Sound upper bound L with v_alpha [n] x = 0 for all n >= L.
 
     N(v_a, v_b) = -(a|b), and each creation letter of level k raises the
     order by at most k.  -(alpha|beta) is read off the pairing row of alpha.
     """
-    return _upper(_charge_rows(sig, alpha)[0], _top_levels(x.terms))
+    pair = _charge_rows(sig, alpha)[0]
+    return max((sum(map(mul, beta, pair)) + sum(k for k, _ in heis) for heis, beta in x.terms), default=0)
+
+
+@cache
+def _top_order(pair, items: frozenset, lowest: int) -> int | None:
+    """m + 1 for the largest m >= lowest with v_alpha [m] nonzero on the (state, int) items, else None.
+
+    pair = _charge_rows(sig, alpha)[0].  On h1(-k1)...hm(-km) v_beta the
+    contractions of E^+(alpha, z) that keep letters of degree kdeg give,
+    with z^{(alpha|beta)}, the power z^{-(m+1)} for m + 1 = shift - kdeg,
+    shift = -(alpha|beta) + level; E^-(alpha, z) = 1 + O(z) leaves the
+    coefficient of the lowest power as it is.  The contraction coefficients
+    are summed by (m + 1, kept letters, charge); the cocycle sign, one per
+    charge, cannot make a sum vanish.  Only orders above lowest are formed.
+    """
+    groups = {}
+    for (heis, beta), c in items:
+        shift = sum(map(mul, beta, pair)) + sum(k for k, _ in heis)
+        if shift <= lowest:
+            continue
+        for kept, kdeg, t in _kept_parts(pair, heis, shift - lowest - 1):
+            key = (shift - kdeg, kept, beta)
+            groups[key] = groups.get(key, 0) + c * t
+    return max((order for (order, _, _), c in groups.items() if c), default=None)
 
 
 def _orders(sig: Signature, items: frozenset, queries, known: dict) -> list:
     """locality_order of each (alpha, lowest) query on the integer combination of the items.
 
     known holds the _charge_rows already read, by charge, and gains those
-    read here; the top levels of the items are found once for all queries.
+    read here.
     """
-    tops = _top_levels(st for st, _ in items)
     out = []
     for alpha, lowest in queries:
         if alpha not in known:
             known[alpha] = _charge_rows(sig, alpha)
-        rows = known[alpha]
-        order = None
-        for m in range(_upper(rows[0], tops) - 1, lowest - 1, -1):
-            if _letter_step(rows, alpha, m, items)[0]:
-                order = m + 1
-                break
-        out.append(order)
+        out.append(_top_order(known[alpha][0], items, lowest))
     return out
 
 
 def locality_order(sig: Signature, alpha: Weight, x: FockElement, lowest: int) -> int | None:
-    """m + 1 for the largest m in [lowest, locality_upper) with v_alpha [m] x != 0, else None.
+    """m + 1 for the largest m >= lowest with v_alpha [m] x != 0, else None.
 
-    Every mode is the full closed-form product: the letter step on the key
-    that `product_charged(sig, alpha, m, x)` makes, of which only whether
-    its numerators are empty is read.
+    Read off the lowest power of z in E^+(alpha, z) x by `_top_order`, on
+    the cleared numerators of x: no product is formed and no mode scanned.
+    The order is at most `locality_upper`.
     """
     return _orders(sig, frozenset(_clear(x)[0].items()), ((alpha, lowest),), {})[0]
 
@@ -421,8 +427,8 @@ def locality_order(sig: Signature, alpha: Weight, x: FockElement, lowest: int) -
 def vacuum_product_orders(sig: Signature, alpha: Weight, n: int, beta: Weight, queries) -> list | None:
     """locality_order(sig, gamma, vacuum_product(sig, alpha, n, beta), lowest) for each (gamma, lowest).
 
-    None if the product is 0.  The letter step's integer numerators are
-    scanned as they are, on the keys that the cleared product makes.
+    None if the product is 0.  The product is one letter step; its integer
+    numerators go to `_top_order` as they are, once per query.
     """
     known = {alpha: _charge_rows(sig, alpha)}
     nums = _letter_step(known[alpha], alpha, n, frozenset([(((), beta), 1)]))[0]

@@ -851,18 +851,34 @@ def _scan_order(sig, alpha, x, lowest):
 @pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
 def test_locality_order_matches_scan(sig):
     # random elements with Fraction coefficients and mixed charges, the zero
-    # element, and an element whose top mode cancels; for each, lowest at the
-    # order's mode, just above it, at and above the bound, and below; the scan
-    # visits every letter-step key locality_order makes, so it adds no miss
+    # element, elements whose top contracted level cancels, and a mixed-charge
+    # element whose order comes from the charge of lower shift; for each,
+    # lowest at the order's mode, just above it, at and above the bound, and
+    # below; locality_order forms no product, so it adds no letter-step miss
     rng = seeded(41)
     alpha = sig.unit_weight(0)
     f = fock._charge_rows(sig, alpha)[0][0]  # -(a|a)
     assert f
     beta = tuple(rng.randint(-1, 1) for _ in range(sig.size))
+    a1, a2, a3 = (1, 0), (2, 0), (3, 0)
+    h1 = (1, sig.size - 1)
     # the top mode contracts every letter: f * a(-2) v_beta and a(-1)^2 v_beta both give f^2 v_{alpha+beta}
-    cancel = FockElement({(((2, 0),), beta): f, (((1, 0), (1, 0)), beta): -1})
-    cases = [(alpha, cancel), (alpha, fock.FOCK_ZERO)]
-    while len(cases) < 16:
+    cancel = FockElement({((a2,), beta): f, ((a1, a1), beta): -1})
+    # the same with a letter h(-1) of the last generator beside them, contracted or kept alike
+    cancel_kept = FockElement({(tuple(sorted((a2, h1))), beta): f, (tuple(sorted((a1, a1, h1))), beta): -1})
+    # the top two contracted levels cancel among three states of charge beta (order shift - 2),
+    # and a state of a charge gamma whose shift is one lower sets the order
+    step = 1 if f > 0 else -1
+    gamma = weight_add(beta, (-step,) + (0,) * (sig.size - 1))  # shift(beta) = shift(gamma) + |f|
+    twice = {((a3,), beta): 2 * f * f, ((a1, a2), beta): -3 * f, ((a1, a1, a1), beta): 1}
+    mixed = FockElement({**twice, (((abs(f) + 2, 0),), gamma): 1})
+    # v_0 [-1] is the identity and contracts nothing, so groups that differ only in
+    # their kept letters, or only in their charge, must not be summed together
+    zero = sig.zero_weight()
+    apart = [FockElement({((a1,), beta): 1, ((a2,), beta): -1}), FockElement({((), beta): 1, ((), gamma): -1})]
+    cases = [(alpha, cancel), (alpha, cancel_kept), (alpha, mixed), (alpha, fock.FOCK_ZERO)]
+    cases += [(zero, x) for x in apart]
+    while len(cases) < 20:
         x = _random_fock(sig, rng, nstates=rng.randint(1, 4))
         a = tuple(rng.randint(-1, 1) for _ in range(sig.size))
         if max(_out_degree(sig, ((a, -1),), locality_upper(sig, a, x) - 8, st_) for st_ in x.terms) <= 8:
@@ -881,25 +897,32 @@ def test_locality_order_matches_scan(sig):
             assert fock.locality_order(sig, a, x, lowest) == expected, (a, x, lowest)
             assert fock._letter_step.cache_info().misses == before
     assert fock.locality_order(sig, alpha, fock.FOCK_ZERO, -5) is None
-    top = locality_upper(sig, alpha, cancel) - 1
-    assert product_charged(sig, alpha, top, cancel).is_zero()
-    for st_, c in cancel.terms.items():
-        assert not product_charged(sig, alpha, top, FockElement({st_: c})).is_zero()
+    assert [fock.locality_order(sig, zero, x, -5) for x in apart] == [0, 0]
+    for x in (cancel, cancel_kept):
+        top = locality_upper(sig, alpha, x) - 1
+        assert product_charged(sig, alpha, top, x).is_zero()
+        for st_, c in x.terms.items():
+            assert not product_charged(sig, alpha, top, FockElement({st_: c})).is_zero()
+        assert fock.locality_order(sig, alpha, x, top - 3) == top
+    upper = locality_upper(sig, alpha, mixed)
+    assert fock.locality_order(sig, alpha, FockElement(twice), upper - 5) == upper - 2
+    assert fock.locality_order(sig, alpha, mixed, upper - 5) == upper - 1
+    assert locality_upper(sig, alpha, FockElement({st_: 1 for st_ in mixed.terms if st_[1] == gamma})) == upper - 1
     assert below
 
 
 def _orders_oracle(sig, alpha, n, beta, queries):
-    """The per-query route: the product as a FockElement, then locality_order on each query."""
+    """The per-query route: the product as a FockElement, then a full product at every mode of each scan."""
     y = vacuum_product(sig, alpha, n, beta)
-    return None if y.is_zero() else [fock.locality_order(sig, gamma, y, lowest) for gamma, lowest in queries]
+    return None if y.is_zero() else [_scan_order(sig, gamma, y, lowest) for gamma, lowest in queries]
 
 
 @pytest.mark.parametrize("size", (2, 3))
 def test_vacuum_product_orders_against_locality_order(size):
     # random signatures with locality entries in -3..4; for each (a, b, k) the product
     # v_b [N(a,b)-k-1] v_a (k = -1 gives 0) scanned for every c with lowest below, at
-    # and above the order the closed form predicts; both routes walk the same
-    # letter-step keys, so either one run after the other makes no miss
+    # and above the order the closed form predicts, against a scan of full products;
+    # vacuum_product_orders makes one letter-step miss per product and none per query
     rng = seeded(57 + size)
     for _ in range(4 if size == 2 else 2):
         loc = [[0] * size for _ in range(size)]
@@ -914,15 +937,10 @@ def test_vacuum_product_orders_against_locality_order(size):
                 (units[c], dong_locality(sig, a, b, c, k) + shift) for c in range(size) for shift in (-3, -1, 0, 1)
             ]
             cases.append((units[b], sig.n(a, b) - k - 1, units[a], queries))
-        misses = []
-        routes = (fock.vacuum_product_orders, _orders_oracle)
-        for first, second in (routes, routes[::-1]):
-            fock._letter_step.cache_clear()
-            got = [first(sig, *case) for case in cases]
-            misses.append(fock._letter_step.cache_info().misses)
-            assert [second(sig, *case) for case in cases] == got, sig
-            assert fock._letter_step.cache_info().misses == misses[-1]
-        assert misses[0] == misses[1]
+        fock._letter_step.cache_clear()
+        got = [fock.vacuum_product_orders(sig, *case) for case in cases]
+        assert fock._letter_step.cache_info().misses == len({case[:3] for case in cases})
+        assert [_orders_oracle(sig, *case) for case in cases] == got, sig
         assert got.count(None) == size * size
         orders = [order for out in got if out is not None for order in out]
         assert None in orders and len(set(orders)) > 2

@@ -563,6 +563,31 @@ def test_cli_help_text(command, capsys, monkeypatch):
     assert capsys.readouterr() == (HELP_TEXT[command], "")
 
 
+def test_cli_literal_double_dash(ferm_cfg, capsys):
+    # every literal `--` after the subcommand is a positional argument like any
+    # other, whatever argparse's own reading of `--` in this Python version
+    cases = (
+        (["dim", ferm_cfg, "2a", "--"], "validation error: deg2 must be an integer, got '--'\n"),
+        (
+            ["verify", "--", "dong", ferm_cfg, "--"],
+            "validation error: unknown suite '--' (dong, locfun, presentation, boson-fermion)\n",
+        ),
+        # the first `--` is the configuration, and the second one is left over
+        (["dim", "--", ferm_cfg, "2a", "--"], "vertexalg: error: unrecognized arguments: --\n"),
+        (["normal-form", "--", ferm_cfg, "--"], "vertexalg: error: unrecognized arguments: --\n"),
+    )
+    for argv, message in cases:
+        try:
+            code = cli.run(argv)
+        except SystemExit as stop:  # argparse
+            code = stop.code
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.endswith(message), argv
+        assert "Traceback" not in captured.err
+
+
 # The fuzzed texts are drawn from the grammar's characters plus `vac`, two
 # letters with a mode (so that more texts parse), two non-decimal digits
 # (superscript two, one half), an Arabic-Indic digit, a letter outside
@@ -629,11 +654,9 @@ def test_cli_fuzz_expression_commands(fuzz_cfgs, command, config):
 # Integer arguments fuzzed against the grammar: texts of up to six characters
 # from the decimal digits, the signs, `_`, `.`, a space, a no-break space,
 # two non-decimal digits (superscript two, one half) and an Arabic-Indic
-# digit.  A text with `..` is a `dim` range, not one integer, and the argument
-# `--` ends argparse's options, so both are left out.
-_integer_texts = st.text(alphabet="0123456789-+_.  ²١½", max_size=6).filter(
-    lambda text: ".." not in text and text != "--"
-)
+# digit.  A text with `..` is a `dim` range, not one integer, so it is left
+# out.
+_integer_texts = st.text(alphabet="0123456789-+_.  ²١½", max_size=6).filter(lambda text: ".." not in text)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -641,6 +664,7 @@ _integer_texts = st.text(alphabet="0123456789-+_.  ²١½", max_size=6).filter(
 @example(text="1_0")
 @example(text=" +10")
 @example(text="- 10")
+@example(text="--")
 def test_cli_fuzz_integer_arguments(fuzz_cfgs, text):
     # an integer argument reads exactly as a mode does in an expression
     try:

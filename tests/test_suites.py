@@ -47,11 +47,14 @@ def test_verify_dong_one_product_scan_per_pair_and_k(monkeypatch):
 
     monkeypatch.setattr(fock, "vacuum_product_orders", counted)
     fock._letter_step.cache_clear()
+    fock._top_order.cache_clear()
     rep = verify_dong(SIG_FREE2, 3)
     assert rep.all_pass and len(rep.checks) == 32
     assert len(calls) == 16 and len(set(calls)) == 16
-    # the letter-step keys of one cold run: the 16 products and the modes of their scans
-    assert fock._letter_step.cache_info().misses == 46
+    # the letter-step keys of one cold run are the 16 products only; their 32
+    # (product, c) orders are 15 distinct contraction passes
+    assert fock._letter_step.cache_info().misses == 16
+    assert fock._top_order.cache_info()[:2] == (17, 15)  # hits, misses
 
 
 DONG_SIGS = (
