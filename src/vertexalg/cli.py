@@ -207,12 +207,16 @@ def _dash_positionals(argv: list) -> list:
     """Put `--` after the subcommand, so that a positional argument may begin
     with `-` (a weight such as -a+2b, an expression such as -a(-1)vac).
 
-    Subcommands take no options of their own, so nothing is lost; every
-    literal `--` after the subcommand is a positional argument like any
-    other, and a help request is left to argparse.
+    Subcommands take no options of their own, so nothing is lost; a `--`
+    before the subcommand ends the options and is dropped, every literal
+    `--` after it is a positional argument like any other, and a help
+    request is left to argparse.
     """
     i = 0
     while i < len(argv) and argv[i].startswith("-"):
+        if argv[i] == "--":  # the end of the options: the subcommand comes next
+            argv = argv[:i] + argv[i + 1 :]
+            break
         i += 2 if argv[i] == "--format" else 1
     if i >= len(argv):
         return argv

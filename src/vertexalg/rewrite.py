@@ -75,12 +75,7 @@ def is_null_word(sig: Signature, w: Word) -> bool:
     exactly when some tail sum of its excess is negative.  Words with last
     mode >= 0 (last excess < 0) are always null.
     """
-    tail = 0
-    for x in reversed(excess(sig, w)):
-        tail += x
-        if tail < 0:
-            return True
-    return False
+    return min(_tail_sums(excess(sig, w))) < 0
 
 
 def _check_strategy(strategy: str) -> None:

@@ -17,22 +17,8 @@ from json.encoder import encode_basestring_ascii
 from . import fock
 from .basis import basis_words, dim_component
 from .rewrite import normal_form
-from .signature import (
-    Signature,
-    SignatureError,
-    make_signature,
-    pairing,
-    weight_neg,
-)
-from .words import (
-    FreeElement,
-    Gen,
-    Prod,
-    binomial,
-    evaluate,
-    gen_element,
-    product,
-)
+from .signature import Signature, SignatureError, make_signature, pairing, weight_neg
+from .words import FreeElement, binomial, gen_element, product
 
 
 @dataclass
@@ -139,31 +125,27 @@ def verify_dong(sig: Signature, k_max: int = 4) -> SuiteReport:
 # --- locality function ---------------------------------------------------------
 
 
-def _tree_shapes(nleaves: int):
-    if nleaves == 1:
-        yield None
+def _parenthesizations(sig: Signature, gens, modes):
+    """The value of every parenthesization of the generators gens joined at modes.
+
+    The first i generators join the rest at modes[i - 1]; shapes come in the
+    order of their left sizes, each value computed with `product`.
+    """
+    if len(gens) == 1:
+        yield gen_element(gens[0])
         return
-    for i in range(1, nleaves):
-        for left in _tree_shapes(i):
-            for right in _tree_shapes(nleaves - i):
-                yield (i, left, right)
-
-
-def _build_expr(shape, gens, modes, offset=0):
-    if shape is None:
-        return Gen(gens[offset]), 1
-    lsize, lshape, rshape = shape
-    left, lused = _build_expr(lshape, gens, modes, offset)
-    right, rused = _build_expr(rshape, gens, modes, offset + lused)
-    return Prod(left, modes[offset + lused - 1], right), lused + rused
+    for i in range(1, len(gens)):
+        for left in _parenthesizations(sig, gens[:i], modes[: i - 1]):
+            for right in _parenthesizations(sig, gens[i:], modes[i:]):
+                yield product(sig, left, modes[i - 1], right)
 
 
 def verify_locfun(sig: Signature, lengths=(2, 3, 4)) -> SuiteReport:
     """Exhaustively confirm the maximal nonzero conformal mode sum.
 
-    Scans every parenthesization, generator tuple and mode tuple with entries
-    in [0, S+1]; the computed value is the largest mode sum whose normal form
-    is nonzero.
+    Scans every mode tuple with entries in [0, S+1], largest sum first, and
+    for each one every generator tuple and parenthesization; the computed
+    value is the largest mode sum whose normal form is nonzero.
     """
     for row in sig.locality:
         if any(x < 0 for x in row):
@@ -173,14 +155,15 @@ def verify_locfun(sig: Signature, lengths=(2, 3, 4)) -> SuiteReport:
     for l in lengths:
         s_formula = l * (l - 1) // 2 * maxn - l + 1
         cap = s_formula + 1
-        shapes = list(_tree_shapes(l))
+        # the sort is stable: each total keeps the descending order of the product
+        mode_tuples = sorted(itertools.product(range(cap, -1, -1), repeat=l - 1), key=sum, reverse=True)
         gen_tuples = list(itertools.product(range(sig.size), repeat=l))
         nonzero_totals = (
-            total
-            for total in range((l - 1) * cap, -1, -1)
-            for modes in _compositions(total, l - 1, cap)
-            for shape, gens in itertools.product(shapes, gen_tuples)
-            if not normal_form(sig, evaluate(sig, _build_expr(shape, gens, modes)[0])).result.is_zero()
+            sum(modes)
+            for modes in mode_tuples
+            for gens in gen_tuples
+            for value in _parenthesizations(sig, gens, modes)
+            if not normal_form(sig, value).result.is_zero()
         )
         computed = next(nonzero_totals, None)
         if computed is None:
@@ -189,16 +172,6 @@ def verify_locfun(sig: Signature, lengths=(2, 3, 4)) -> SuiteReport:
         else:
             report.add(f"l={l}", s_formula, computed, computed == s_formula)
     return report
-
-
-def _compositions(total, slots, cap):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, cap), -1, -1):
-        for rest in _compositions(total - first, slots - 1, cap):
-            yield (first,) + rest
 
 
 # --- lattice presentation ------------------------------------------------------
@@ -226,57 +199,45 @@ def _check_equal(report: SuiteReport, sig: Signature, id: str, expected, compute
     report.add(id, fock.format_fock(sig, expected), fock.format_fock(sig, computed), computed == expected)
 
 
+def _signed(sig: Signature):
+    """Each generator and its negative as (s, i, label), s = +-1, in record order."""
+    return [(s, i, ("" if s == 1 else "-") + sig.generators[i]) for i in range(sig.size) for s in (1, -1)]
+
+
 def verify_presentation(sig: Signature) -> SuiteReport:
     """Check the presentation relations of the lattice algebra built on sig.
 
-    sig carries N = -Gram, so sig.gram recovers the lattice form.  Also
-    checks the corresponding identities of the free algebra over the doubled
-    generator set via the embedding, and reports the Virasoro products when
-    the form is nondegenerate.
+    sig carries N = -Gram, so sig.gram recovers the lattice form.  Relations
+    (i), (ii) and (iv) run over the signed generators of `_signed`, each with
+    its charge a, the two-letter word of atil = v_a [N-2] v_-a and atil
+    itself.  Also checks the corresponding identities of the free algebra
+    over the doubled generator set via the embedding, and reports the
+    Virasoro products when the form is nondegenerate.
     """
     report = SuiteReport("presentation")
-    r = sig.size
-    names = sig.generators
     vac = fock.vacuum_element(sig)
-    signed = [(s, i) for i in range(r) for s in (1, -1)]
+    signed = []
+    for s, i, label in _signed(sig):
+        a = sig.unit_weight(i) if s == 1 else weight_neg(sig.unit_weight(i))
+        atil_word = ((a, sig.gram(i, i) - 2), (weight_neg(a), -1))
+        signed.append((label, a, atil_word, fock.charge_act(sig, a, -1, vac)))
 
-    def charge(s, i):
-        w = sig.unit_weight(i)
-        return w if s == 1 else weight_neg(w)
-
-    def label(s, i):
-        return names[i] if s == 1 else "-" + names[i]
-
-    def atil_word(ch):
-        norm = pairing(sig, ch, ch)
-        return ((ch, norm - 2), (weight_neg(ch), -1))
-
-    def atil_elem(ch):
-        return fock.charge_act(sig, ch, -1, vac)
-
-    for (s1, i1) in signed:
-        a = charge(s1, i1)
-        wa = atil_word(a)
-        for (s2, i2) in signed:
-            b = charge(s2, i2)
+    for label1, a, wa, _ in signed:
+        for label2, b, _, ab in signed:
             form = pairing(sig, a, b)
-            pair = f"{label(s1, i1)},{label(s2, i2)}"
-            ab = atil_elem(b)
+            pair = f"{label1},{label2}"
             _check_equal(report, sig, f"(i) {pair} mode 0", fock.FOCK_ZERO, fock.product_word(sig, wa, 0, ab))
             _check_equal(report, sig, f"(i) {pair} mode 1", vac.scale(form), fock.product_word(sig, wa, 1, ab))
             vb = fock.vacuum_element(sig, b)
             _check_equal(report, sig, f"(ii) {pair}", vb.scale(form), fock.product_word(sig, wa, 0, vb))
         va = fock.vacuum_element(sig, a)
-        lhs = fock.product_word(sig, wa, -1, va)
-        _check_equal(report, sig, f"(iv) {label(s1, i1)}", fock.translate(sig, va), lhs)
+        _check_equal(report, sig, f"(iv) {label1}", fock.translate(sig, va), fock.product_word(sig, wa, -1, va))
 
-    for i in range(r):
+    for i, name in enumerate(sig.generators):
         a = sig.unit_weight(i)
-        norm = pairing(sig, a, a)
-        lhs = fock.vacuum_product(sig, a, norm - 1, weight_neg(a))
-        _check_equal(report, sig, f"(iii) {names[i]}", vac, lhs)
-        lhs = fock.vacuum_product(sig, weight_neg(a), norm - 1, a)
-        _check_equal(report, sig, f"(qs) {names[i]}", vac, lhs)
+        norm = sig.gram(i, i)
+        _check_equal(report, sig, f"(iii) {name}", vac, fock.vacuum_product(sig, a, norm - 1, weight_neg(a)))
+        _check_equal(report, sig, f"(qs) {name}", vac, fock.vacuum_product(sig, weight_neg(a), norm - 1, a))
 
     _presentation_free_identities(sig, report)
     _virasoro_checks(sig, report)
@@ -286,65 +247,43 @@ def verify_presentation(sig: Signature) -> SuiteReport:
 def _presentation_free_identities(sig: Signature, report: SuiteReport):
     """The free-algebra identities behind relations (i), (ii), (iv).
 
-    Built over the doubled generator set (one barred copy per generator,
-    with the form negated across the blocks) and verified through the
-    embedding into the corresponding lattice algebra.
+    Built over the doubled generator set: generator d < r is sig's generator
+    d and d + r its barred copy, with the form negated across the blocks, so
+    the signed generator (s, i) is the doubled generator d = i or i + r and
+    its form with another is sigf.gram.  Each one's x, k = x [N-1] xbar and
+    h = x [N-2] xbar are built once, and the identities are verified through
+    the embedding into the corresponding lattice algebra.
     """
     r = sig.size
-    gram = [[sig.gram(i, j) for j in range(r)] for i in range(r)]
-    names = sig.generators
-    doubled_names = list(names) + [n + "_" for n in names]
-    loc = [[0] * (2 * r) for _ in range(2 * r)]
-    for i in range(r):
-        for j in range(r):
-            loc[i][j] = -gram[i][j]
-            loc[i][j + r] = gram[i][j]
-            loc[i + r][j] = gram[i][j]
-            loc[i + r][j + r] = -gram[i][j]
-    sigf = make_signature(doubled_names, loc)
+    signs = [1] * r + [-1] * r
+    loc = [[signs[c] * signs[d] * sig.n(c % r, d % r) for d in range(2 * r)] for c in range(2 * r)]
+    sigf = make_signature(list(sig.generators) + [n + "_" for n in sig.generators], loc)
+    signed = []
+    for s, i, label in _signed(sig):
+        d = i if s == 1 else i + r
+        x, xbar = gen_element(d), gen_element((d + r) % (2 * r))
+        norm = sigf.gram(d, d)
+        signed.append((label, d, x, product(sigf, x, norm - 1, xbar), product(sigf, x, norm - 2, xbar)))
 
-    def x_elem(s, i):
-        return gen_element(i if s == 1 else i + r)
-
-    def norm(i):
-        return gram[i][i]
-
-    def kh(s, i):
-        xa = x_elem(s, i)
-        xm = x_elem(-s, i)
-        return (
-            product(sigf, xa, norm(i) - 1, xm),
-            product(sigf, xa, norm(i) - 2, xm),
-        )
-
-    signed = [(s, i) for i in range(r) for s in (1, -1)]
-    for (s1, i1) in signed:
-        ka, ha = kh(s1, i1)
-        for (s2, i2) in signed:
-            kb, hb = kh(s2, i2)
-            form = s1 * s2 * gram[i1][i2]
-            pair = f"{'-' if s1 < 0 else ''}{names[i1]},{'-' if s2 < 0 else ''}{names[i2]}"
+    for label1, d1, xa, ka, ha in signed:
+        for label2, d2, xb, kb, hb in signed:
+            form = sigf.gram(d1, d2)
+            pair = f"{label1},{label2}"
             for k in (0, 1):
                 lhs = fock.embed(sigf, product(sigf, ha, k, hb))
                 rhs = fock.embed(sigf, product(sigf, ka, k - 2, kb)).scale(form)
                 _check_equal(report, sigf, f"(idF1) {pair} k={k}", rhs, lhs)
-            xb = x_elem(s2, i2)
             lhs = fock.embed(sigf, product(sigf, ha, 0, xb))
             rhs = fock.embed(sigf, product(sigf, ka, -1, xb)).scale(form)
             _check_equal(report, sigf, f"(idF2) {pair}", rhs, lhs)
-        xa = x_elem(s1, i1)
         lhs = fock.embed(sigf, product(sigf, ha, -1, xa))
-        rhs = fock.embed(
-            sigf,
-            product(sigf, xa, -2, ka) + product(sigf, ka, -2, xa).scale(s1 * s1 * gram[i1][i1]),
-        )
-        _check_equal(report, sigf, f"(idF3) {'-' if s1 < 0 else ''}{names[i1]}", rhs, lhs)
+        rhs = fock.embed(sigf, product(sigf, xa, -2, ka) + product(sigf, ka, -2, xa).scale(sigf.gram(d1, d1)))
+        _check_equal(report, sigf, f"(idF3) {label1}", rhs, lhs)
 
 
 def _virasoro_checks(sig: Signature, report: SuiteReport):
     r = sig.size
-    gram = [[sig.gram(i, j) for j in range(r)] for i in range(r)]
-    inv = _invert(gram)
+    inv = _invert(sig.locality)  # the inverse of N = -Gram, so G^-1 = -inv
     if inv is None:
         report.add("virasoro", "nondegenerate form", "degenerate form", status="skip")
         return
@@ -353,7 +292,7 @@ def _virasoro_checks(sig: Signature, report: SuiteReport):
     omega = fock.FOCK_ZERO
     for i in range(r):
         for j in range(r):
-            omega = omega + fock.heis_act(sig, i, -1, fock.heis_act(sig, j, -1, vac)).scale(Fraction(inv[i][j], 2))
+            omega = omega + fock.heis_act(sig, i, -1, fock.heis_act(sig, j, -1, vac)).scale(Fraction(-inv[i][j], 2))
 
     lhs = fock.product_state(sig, omega, 0, omega)
     _check_equal(report, sig, "omega [0] omega = D omega", fock.translate(sig, omega), lhs)

@@ -565,9 +565,13 @@ def test_cli_help_text(command, capsys, monkeypatch):
 
 def test_cli_literal_double_dash(ferm_cfg, capsys):
     # every literal `--` after the subcommand is a positional argument like any
-    # other, whatever argparse's own reading of `--` in this Python version
+    # other, whatever argparse's own reading of `--` in this Python version;
+    # one before the subcommand ends the options
+    assert cli.run(["--", "dim", ferm_cfg, "2a", "4..6"]) == 0
+    assert capsys.readouterr() == ("1,0,1\n", "")
     cases = (
         (["dim", ferm_cfg, "2a", "--"], "validation error: deg2 must be an integer, got '--'\n"),
+        (["--format", "machine", "--", "dim", ferm_cfg, "2a", "--"], "validation error: deg2 must be an integer, got '--'\n"),
         (
             ["verify", "--", "dong", ferm_cfg, "--"],
             "validation error: unknown suite '--' (dong, locfun, presentation, boson-fermion)\n",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -106,6 +107,41 @@ def test_verify_locfun_zero_bound():
 def test_verify_locfun_rejects_negative_entries():
     with pytest.raises(SignatureError):
         verify_locfun(SIG_FERM, (2,))
+
+
+def test_verify_locfun_records():
+    # l = 1 is the single generator, whose mode sum is the empty sum 0
+    rep = verify_locfun(SIG_FREE2, (1, 2, 3))
+    assert [(c.id, c.expected, c.computed, c.status) for c in rep.checks] == [
+        ("l=1", "0", "0", "pass"),
+        ("l=2", "1", "1", "pass"),
+        ("l=3", "4", "4", "pass"),
+    ]
+    rep = verify_locfun(make_signature(["a", "b"], [[0, 1], [1, 2]]), (2, 3))
+    assert [(c.id, c.expected, c.computed, c.status) for c in rep.checks] == [
+        ("l=2", "1", "1", "pass"),
+        ("l=3", "4", "4", "pass"),
+    ]
+
+
+# sha256 of the full text and machine reports, as commit 0626d58 printed them
+PRESENTATION_DIGESTS = {
+    ((-1,),): (
+        "a9fc8f7984c601077a869b58711eec412b9d668dae453bf9f3e0fe3ad86722d2",
+        "20b65ccbd9fcc25ded0c48aa5843598c47599e54089b0f2e7517be216f9eb152",
+    ),
+    ((-2, 1), (1, -2)): (
+        "4f2bda212ce4e26bd62e77b5a0801d07c53aaa421d8eda4e41b3c35021bb6696",
+        "2279dc27da60380c23a3ccd0f22fb916211a4bf6f623bf03d64a7c2c026a2b79",
+    ),
+}
+
+
+@pytest.mark.parametrize("locality", list(PRESENTATION_DIGESTS), ids=("rank1", "A2"))
+def test_presentation_reports_unchanged(locality):
+    rep = verify_presentation(make_signature(["a", "b"][: len(locality)], locality))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.render_text(), rep.render_machine()))
+    assert digests == PRESENTATION_DIGESTS[locality]
 
 
 def test_presentation_rank_one():
