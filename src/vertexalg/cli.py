@@ -203,19 +203,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dash_positionals(argv: list) -> list:
+def _dash_positionals(parser: argparse.ArgumentParser, argv: list) -> list:
     """Put `--` after the subcommand, so that a positional argument may begin
     with `-` (a weight such as -a+2b, an expression such as -a(-1)vac).
 
     Subcommands take no options of their own, so nothing is lost; a `--`
-    before the subcommand ends the options and is dropped, every literal
-    `--` after it is a positional argument like any other, and a help
+    before the subcommand ends the options and is dropped, and what follows
+    it is the subcommand even when it begins with `-`; every literal `--`
+    after the subcommand is a positional argument like any other, and a help
     request is left to argparse.
     """
     i = 0
     while i < len(argv) and argv[i].startswith("-"):
         if argv[i] == "--":  # the end of the options: the subcommand comes next
             argv = argv[:i] + argv[i + 1 :]
+            if argv[i:] and argv[i].startswith("-"):  # argparse would read it as an option; no subcommand matches
+                try:  # argparse's own check, so the message reads as for any unknown subcommand
+                    parser._check_value(parser._subparsers._group_actions[0], argv[i])
+                except argparse.ArgumentError as exc:
+                    parser.error(str(exc))
             break
         i += 2 if argv[i] == "--format" else 1
     if i >= len(argv):
@@ -228,7 +234,7 @@ def _dash_positionals(argv: list) -> list:
 
 def run(argv=None) -> int:
     parser = _build_parser()
-    args, extra = parser.parse_known_args(_dash_positionals(sys.argv[1:] if argv is None else list(argv)))
+    args, extra = parser.parse_known_args(_dash_positionals(parser, sys.argv[1:] if argv is None else list(argv)))
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(map(_undash, extra))}")
     try:

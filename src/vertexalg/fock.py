@@ -62,6 +62,13 @@ embedding of a word, `_embed_word`, are keyed by the signature.
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
 so the sorted form is canonical), and `charge` is a signed weight.
+
+Exact linear algebra is one sparse fraction-free elimination over integer
+rows keyed by any ordered key (a state, a word, a tag): `echelon` keeps
+each row reduced against the rows before it, under its least key, and
+`reduce_row` reduces a new row against them, dividing out the gcd of its
+entries.  `rank`, `in_span` and the inverse of a form (`suites`) all go
+through it.
 """
 
 from __future__ import annotations
@@ -693,58 +700,60 @@ def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> Foc
     return _divide(*_combine(dict.fromkeys(groups, 1), denx * deny, kernel))
 
 
-# --- exact rank --------------------------------------------------------------
+# --- exact elimination -------------------------------------------------------
+
+
+def reduce_row(row: dict, kept: dict) -> dict:
+    """The row reduced against the echelon `kept`, divided by the gcd of its entries.
+
+    A row is a dict from ordered keys (states, words, tags) to nonzero ints,
+    and `kept` is an echelon as `echelon` builds it: each pivot maps to its
+    row, and no row holds the pivot of a row kept before it.  At each pivot,
+    in that order, the row becomes p row - c kept[pivot], with p and c the
+    two pivot entries over their gcd, so no fraction is formed and no pivot
+    already passed comes back.  The row reduces to zero exactly when it lies
+    in the rational span of the kept rows.
+    """
+    row = dict(row)
+    for pivot, base in kept.items():
+        c = row.get(pivot)
+        if c:
+            g = gcd(base[pivot], c)
+            p, c = base[pivot] // g, c // g
+            if p != 1:
+                row = {key: p * v for key, v in row.items()}
+            for key, v in base.items():
+                row[key] = row.get(key, 0) - c * v
+    g = gcd(*row.values())
+    return {key: v // g for key, v in row.items() if v}
+
+
+def echelon(rows) -> dict:
+    """The sparse fraction-free echelon of integer rows, as {pivot: row}.
+
+    Each row is reduced against the rows kept before it (`reduce_row`) and
+    kept under its least key, unless nothing is left of it; the number of
+    rows kept is the rank.  One elimination serves the rank and span
+    membership of Fock elements and the inverse of a form (`suites`).
+    """
+    kept = {}
+    for row in rows:
+        if row := reduce_row(row, kept):
+            kept[min(row)] = row
+    return kept
 
 
 def rank(elements) -> int:
-    """Exact rank over the rationals of the given elements.
-
-    Coordinates in the state basis are cleared to integers row by row, then
-    reduced by fraction-free (Bareiss) elimination.
-    """
-    elements = [x for x in elements if not x.is_zero()]
-    if not elements:
-        return 0
-    columns = sorted({st for x in elements for st in x.terms})
-    index = {st: i for i, st in enumerate(columns)}
-    rows = []
-    for x in elements:
-        row = [0] * len(columns)
-        for st, c in _clear(x)[0].items():
-            row[index[st]] = c
-        rows.append(row)
-    return _bareiss_rank(rows)
-
-
-def _bareiss_rank(m) -> int:
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Exact rank over the rationals of the given elements: the size of the
+    echelon of their coordinates in the state basis, cleared to integers row
+    by row."""
+    return len(echelon(_clear(x)[0] for x in elements))
 
 
 def in_span(x: FockElement, elements) -> bool:
-    """Exact membership of x in the rational span of the elements."""
-    base = list(elements)
-    return rank(base + [x]) == rank(base)
+    """Exact membership of x in the rational span of the elements: x, cleared
+    to integers, reduces to zero against their echelon."""
+    return not reduce_row(_clear(x)[0], echelon(_clear(y)[0] for y in elements))
 
 
 # --- printing ----------------------------------------------------------------

@@ -178,20 +178,19 @@ def verify_locfun(sig: Signature, lengths=(2, 3, 4)) -> SuiteReport:
 
 
 def _invert(mat):
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    """The inverse of a square integer matrix N, as rows of Fractions, or None when N is singular.
+
+    Row i of N carries the tag key (1, i), which sorts after its column keys
+    (0, j).  The unit row (0, k), tagged (2, 0), reduces against the echelon
+    of the tagged rows to p e_k - sum_i t_i N_i, with -t_i at (1, i) and p at
+    (2, 0).  A column key left in it means N is singular; otherwise the
+    column part is zero, so row k of the inverse is t / p.
+    """
+    kept = fock.echelon({**{(0, j): x for j, x in enumerate(row) if x}, (1, i): 1} for i, row in enumerate(mat))
+    rows = [fock.reduce_row({(0, k): 1, (2, 0): 1}, kept) for k in range(len(mat))]
+    if any(min(row)[0] == 0 for row in rows):
+        return None
+    return [[Fraction(-row.get((1, i), 0), row[2, 0]) for i in range(len(mat))] for row in rows]
 
 
 def _check_equal(report: SuiteReport, sig: Signature, id: str, expected, computed):

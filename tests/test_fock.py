@@ -276,6 +276,12 @@ def test_rank_examples(ferm):
     assert rank(imgs) == 2
 
 
+def _sympy_rank(rows, keys):
+    return sympy.Matrix(
+        [[sympy.Rational(row.get(k, 0).numerator, row.get(k, 0).denominator) for k in keys] for row in rows]
+    ).rank()
+
+
 def test_rank_against_sympy():
     rng = seeded(28)
     for _ in range(25):
@@ -295,6 +301,24 @@ def test_rank_against_sympy():
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in mat]
         ).rank()
         assert rank(elems) == expect
+    # sparse rows over non-contiguous states, up to 12 of them, with a dependent
+    # row of large multiples (entries near 10^6)
+    states = [(((k, 0),), (q,)) for k in (1, 3, 4, 9) for q in (-5, 2, 7)]
+    for _ in range(40):
+        keys = rng.sample(states, rng.randint(2, len(states)))
+        rows = [
+            {st: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for st in rng.sample(keys, rng.randint(1, 3))}
+            for _ in range(rng.randint(1, 12))
+        ]
+        if len(rows) > 1:
+            big = {}
+            for row in rng.sample(rows, 2):
+                f = rng.randint(10**6 - 50, 10**6 + 50) * rng.choice((1, -1))
+                for st, c in row.items():
+                    big[st] = big.get(st, 0) + f * c
+            rows.insert(rng.randrange(len(rows) + 1), big)
+        elems = [FockElement(row) for row in rows]
+        assert rank(elems) == _sympy_rank(rows, sorted(states))
 
 
 def test_in_span(ferm):
@@ -303,6 +327,29 @@ def test_in_span(ferm):
     y = heis_act(ferm, 0, -2, v0)
     assert in_span(x.scale(Fraction(5, 3)), [x, y])
     assert not in_span(heis_act(ferm, 0, -3, v0), [x, y])
+
+
+def test_in_span_against_sympy():
+    # members are random rational combinations of the rows, non-members random rows
+    rng = seeded(29)
+    states = [(((k, g),), (q,)) for k in (1, 2, 5) for g in (0, 1) for q in (-3, 4)]
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        keys = rng.sample(states, rng.randint(1, len(states)))
+        rows = [
+            {st: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for st in rng.sample(keys, rng.randint(1, len(keys)))}
+            for _ in range(rng.randint(0, 6))
+        ]
+        elems = [FockElement(row) for row in rows]
+        member = FockElement({})
+        for x in elems:
+            member = member + x.scale(Fraction(rng.randint(-7, 7), rng.randint(1, 5)))
+        other = {st: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for st in rng.sample(states, rng.randint(1, 4))}
+        for x, row in ((member, member.terms), (FockElement(other), other)):
+            expect = _sympy_rank(rows + [row], states) == _sympy_rank(rows, states)
+            assert in_span(x, elems) == expect
+            seen[expect] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_format_state(ferm):

@@ -569,7 +569,15 @@ def test_cli_literal_double_dash(ferm_cfg, capsys):
     # one before the subcommand ends the options
     assert cli.run(["--", "dim", ferm_cfg, "2a", "4..6"]) == 0
     assert capsys.readouterr() == ("1,0,1\n", "")
+    # argparse's message for an unknown subcommand, as this Python version words it
+    with pytest.raises(SystemExit):
+        cli.run(["nosuch"])
+    unknown = capsys.readouterr().err.splitlines()[-1]
+    assert "argument command: invalid choice: 'nosuch'" in unknown
     cases = (
+        # what follows a leading `--` is the subcommand, even when it begins with `-`
+        (["--", "-h"], unknown.replace("'nosuch'", "'-h'") + "\n"),
+        (["--", "--format", "text", "dim", ferm_cfg, "2a", "4..6"], unknown.replace("'nosuch'", "'--format'") + "\n"),
         (["dim", ferm_cfg, "2a", "--"], "validation error: deg2 must be an integer, got '--'\n"),
         (["--format", "machine", "--", "dim", ferm_cfg, "2a", "--"], "validation error: deg2 must be an integer, got '--'\n"),
         (

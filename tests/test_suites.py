@@ -1,7 +1,9 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from vertexalg import SignatureError, fock, make_signature, suites
 from vertexalg.suites import (
@@ -13,7 +15,7 @@ from vertexalg.suites import (
     verify_presentation,
 )
 
-from conftest import SIG_FERM, SIG_FREE2
+from conftest import SIG_FERM, SIG_FREE2, seeded
 
 
 def test_dong_locality_closed_form():
@@ -125,6 +127,7 @@ def test_verify_locfun_records():
 
 
 # sha256 of the full text and machine reports, as commit 0626d58 printed them
+# (the degenerate and hyperbolic forms as commit 089017b printed them)
 PRESENTATION_DIGESTS = {
     ((-1,),): (
         "a9fc8f7984c601077a869b58711eec412b9d668dae453bf9f3e0fe3ad86722d2",
@@ -134,14 +137,51 @@ PRESENTATION_DIGESTS = {
         "4f2bda212ce4e26bd62e77b5a0801d07c53aaa421d8eda4e41b3c35021bb6696",
         "2279dc27da60380c23a3ccd0f22fb916211a4bf6f623bf03d64a7c2c026a2b79",
     ),
+    # gram [[2, 2], [2, 2]]: the singular path of the inverse form, a Virasoro skip
+    ((-2, -2), (-2, -2)): (
+        "9bd01e62ea8e9a1f6550a2816c14af29ac3f5a4bfadb3d6d935e464aa9a9506b",
+        "479f7599e29bb89da909a13861c011b997fe20be832f333559a0f9e4e3f1ae6b",
+    ),
+    # gram [[0, 1], [1, 0]]: a zero diagonal, so the inverse needs a pivot off the diagonal
+    ((0, -1), (-1, 0)): (
+        "c62319b9cc13aaae987920cab3a2c3bff86824361aae6eda1480a0683cad9de0",
+        "6b30e64dc63ee7229fda7a0f1d88dd726c30e49543448246d497f829ed9b3556",
+    ),
 }
 
 
-@pytest.mark.parametrize("locality", list(PRESENTATION_DIGESTS), ids=("rank1", "A2"))
+@pytest.mark.parametrize("locality", list(PRESENTATION_DIGESTS), ids=("rank1", "A2", "degenerate", "hyperbolic"))
 def test_presentation_reports_unchanged(locality):
     rep = verify_presentation(make_signature(["a", "b"][: len(locality)], locality))
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.render_text(), rep.render_machine()))
     assert digests == PRESENTATION_DIGESTS[locality]
+
+
+def test_invert_against_sympy():
+    # random integer matrices of size 1-4, some singular, some with a zero diagonal
+    rng = seeded(21)
+    seen = {"singular": 0, "inverted": 0, "zero diagonal": 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            for i in range(n):
+                mat[i][i] = 0
+        if n > 1 and rng.random() < 0.3:  # one row a multiple of another
+            i, j = rng.sample(range(n), 2)
+            mat[i] = [rng.randint(-2, 2) * x for x in mat[j]]
+        expect = sympy.Matrix(mat)
+        got = suites._invert(mat)
+        if expect.det() == 0:
+            assert got is None, mat
+            seen["singular"] += 1
+            continue
+        inv = expect.inv()
+        assert got == [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(n)] for i in range(n)], mat
+        assert all(type(x) is Fraction for row in got for x in row)
+        seen["inverted"] += 1
+        seen["zero diagonal"] += not any(mat[i][i] for i in range(n))
+    assert min(seen.values()) >= 30, seen
 
 
 def test_presentation_rank_one():
