@@ -39,9 +39,11 @@ with no division into fractions and back.
 
 Every kernel value is a pair (numerators, denom): a dict from state to
 nonzero int over one positive int denominator.  Cocycle signs always sit in
-the numerators.  A public product clears the denominators of its input
-once, combines kernel values over the lcm of their denominators in
-integers, and ends with one exact division.
+the numerators.  A `FockElement` is that pair itself, reduced: a public
+product hands the element's numerators to the kernels as they are, combines
+kernel values over the lcm of their denominators in integers, and ends
+with one reduction by the gcd.  No product builds a `Fraction`; the
+rational `terms` of an element are built only when they are read.
 
 Memo keys carry only what a value depends on, and no kernel of a product
 reads a `Signature` outside `_charge_rows`: for each charge alpha, the
@@ -51,7 +53,7 @@ which is not memoized, reads only the locality matrix.  Both steps are
 keyed by the rows of their letters, the word or charge and modes, and the
 combination as a frozenset of (state, numerator) items, so signatures that
 agree on the rows share their entries, the reduced image of a word after
-each letter of the embedding and the cleared image `embed(v)` that a
+each letter of the embedding and the numerators of `embed(v)` that a
 one-letter product receives are the same key, and so are a right element
 that `product_charged` receives and the one group a left charged vacuum
 makes of it in the general product.  `_top_order` is keyed by the pairing
@@ -86,7 +88,7 @@ from .signature import (
     pairing,
     weight_add,
 )
-from .words import Combination, FreeElement, Word, accumulate, binomial, format_terms
+from .words import FreeElement, Word, binomial, format_terms
 
 # A state is (heis, charge); heis is a tuple of (level, gen) with level >= 1.
 State = tuple
@@ -100,10 +102,101 @@ def state_deg2(sig: Signature, st: State) -> int:
     return pairing(sig, st[1], st[1]) + 2 * sum(k for k, _ in st[0])
 
 
-class FockElement(Combination):
-    """Finite rational combination of states."""
+def _reduce(data: dict, denom: int) -> tuple:
+    """(numerators, denom) with the zero numerators dropped and the common factor divided out."""
+    g = gcd(denom, *data.values())
+    if g == 1:  # the common case, and a copy without the divisions costs half as much
+        return {key: c for key, c in data.items() if c}, denom
+    return {key: c // g for key, c in data.items() if c}, denom // g
 
-    __slots__ = ()
+
+def _cleared(terms: dict) -> tuple:
+    """Rational coefficients as integers over their lcm: (numerators, lcm)."""
+    denom = lcm(*(c.denominator for c in terms.values()))
+    return {key: c.numerator * (denom // c.denominator) for key, c in terms.items()}, denom
+
+
+def _clear(x) -> tuple:
+    """(numerators, denom) of a combination; a Fock element already is that pair."""
+    return (x.nums, x.den) if type(x) is FockElement else _cleared(x.terms)
+
+
+class FockElement:
+    """Finite rational combination of states, stored as the kernels' pair.
+
+    `nums` maps each state to a nonzero int and `den` is a positive int
+    with gcd(den, *nums) = 1, the unique reduced form, so `==` and `hash`
+    read the pair.  `terms`, the rational dict (an integral coefficient an
+    int, any other a `Fraction` in lowest terms), is built on first read and
+    kept.  Immutable by convention: every operation returns a fresh element.
+    """
+
+    __slots__ = ("nums", "den", "_terms")
+
+    def __init__(self, terms=None):
+        self.nums, self.den = _reduce(*_cleared(terms or {}))
+        self._terms = None
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            den = self.den
+            if den == 1:
+                self._terms = dict(self.nums)
+            else:
+                self._terms = {key: c // den if c % den == 0 else Fraction(c, den) for key, c in self.nums.items()}
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FockElement and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.nums.items())))
+
+    def _plus(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        if not other.nums:
+            return self
+        big = lcm(self.den, other.den)
+        f, g = big // self.den, sign * (big // other.den)
+        data = {key: f * c for key, c in self.nums.items()}
+        for key, c in other.nums.items():
+            data[key] = data.get(key, 0) + g * c
+        return _element(data, big)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return _element({key: -c for key, c in self.nums.items()}, self.den)
+
+    def scale(self, c):
+        if c == 1:
+            return self
+        return _element({key: c.numerator * t for key, t in self.nums.items()}, self.den * c.denominator)
+
+    def support(self):
+        return set(self.nums)
+
+    def __repr__(self):
+        return f"FockElement({self.terms!r})"
+
+
+def _element(nums: dict, den: int) -> FockElement:
+    """The element nums / den for a positive den, reduced; nums is copied, never kept."""
+    x = object.__new__(FockElement)
+    x.nums, x.den = _reduce(nums, den)
+    x._terms = None
+    return x
 
 
 FOCK_ZERO = FockElement()
@@ -140,14 +233,14 @@ def cocycle(sig: Signature, lam: Weight, mu: Weight) -> int:
     return -1 if exponent & 1 else 1
 
 
-def heis_act(sig: Signature, g: int, n: int, x: FockElement) -> FockElement:
-    """Action of the Heisenberg operator g(n) on an element.
+def _heis_into(sig: Signature, g: int, n: int, nums: dict, f: int, data: dict) -> None:
+    """Add f * g(n) on the integer combination nums into data, in place.
 
     n < 0 inserts a creation letter, n = 0 scales by (g|charge), n > 0
     commutes through and removes a matching creation letter.
     """
-    data = {}
-    for (heis, charge), c in x.terms.items():
+    for (heis, charge), c in nums.items():
+        c *= f
         if n < 0:
             st = (_insert(heis, (-n, g)), charge)
             data[st] = data.get(st, 0) + c
@@ -160,7 +253,13 @@ def heis_act(sig: Signature, g: int, n: int, x: FockElement) -> FockElement:
                     continue
                 st = (heis[:i] + heis[i + 1 :], charge)
                 data[st] = data.get(st, 0) + n * sig.gram(g, h) * c
-    return FockElement(data)
+
+
+def heis_act(sig: Signature, g: int, n: int, x: FockElement) -> FockElement:
+    """Action of the Heisenberg operator g(n) on an element, over its denominator."""
+    data = {}
+    _heis_into(sig, g, n, x.nums, 1, data)
+    return _element(data, x.den)
 
 
 def _insert(heis, letter):
@@ -174,28 +273,27 @@ def charge_act(sig: Signature, lam: Weight, n: int, x: FockElement) -> FockEleme
     """lam(n) for a signed weight lam, extended linearly over generators."""
     data = {}
     for g, c in enumerate(lam):
-        accumulate(data, heis_act(sig, g, n, x), c)
-    return FockElement(data)
+        if c:
+            _heis_into(sig, g, n, x.nums, c, data)
+    return _element(data, x.den)
 
 
 def translate(sig: Signature, x: FockElement, k: int = 1) -> FockElement:
     """Divided power D^(k) of the translation D v_lam = lam(-1) v_lam, [D, h(-j)] = j h(-j-1)."""
     if k < 0:
         raise ValueError("negative divided power")
+    nums = x.nums
     for _ in range(k):
         data = {}
-        for (heis, charge), c in x.terms.items():
+        for (heis, charge), c in nums.items():
             for g, mult in enumerate(charge):
                 st = (_insert(heis, (1, g)), charge)
                 data[st] = data.get(st, 0) + mult * c
             for i, (j, g) in enumerate(heis):
                 st = (_insert(heis[:i] + heis[i + 1 :], (j + 1, g)), charge)
                 data[st] = data.get(st, 0) + j * c
-        x = FockElement(data)
-    if k > 1:
-        data, denom = _clear(x)
-        x = _divide(data, denom * factorial(k))
-    return x
+        nums = {st: c for st, c in data.items() if c}
+    return _element(nums, x.den * factorial(k))
 
 
 # --- vertex operators of charged vacua, in closed form ------------------------
@@ -278,29 +376,6 @@ def _kept_parts(pair, heis, limit: int) -> list:
     return out
 
 
-def _divide(data: dict, denom: int) -> FockElement:
-    """Element of the integer combination `data` divided exactly by denom."""
-    if denom == 1:
-        return FockElement(data)
-    out = {}
-    for key, c in data.items():
-        q, r = divmod(c, denom)
-        out[key] = Fraction(c, denom) if r else q
-    return FockElement(out)
-
-
-def _reduce(data: dict, denom: int) -> tuple:
-    """(numerators, denom) with the zero numerators dropped and the common factor divided out."""
-    g = gcd(denom, *data.values())
-    return {key: c // g for key, c in data.items() if c}, denom // g
-
-
-def _clear(x) -> tuple:
-    """The coefficients of a combination as integers over their lcm: (numerators, lcm)."""
-    denom = lcm(*(c.denominator for c in x.terms.values()))
-    return {key: c.numerator * (denom // c.denominator) for key, c in x.terms.items()}, denom
-
-
 def _combine(data: dict, den: int, kernel) -> tuple:
     """sum_k data[k] * kernel(k) over den, in integers, for kernel values (numerators, d_k).
 
@@ -340,14 +415,17 @@ def _letter_step(rows: tuple, alpha: Weight, n: int, items: frozenset) -> tuple:
     reads of the signature.
     """
     pair, parity = rows
+    charges = {}  # beta -> (-n-1-(alpha|beta), cocycle sign, alpha+beta), read once per charge
     groups = {}
     for (heis, beta), c in items:
-        degree = -n - 1 + sum(map(mul, beta, pair)) + sum(k for k, _ in heis)
+        if beta not in charges:
+            sign = -1 if sum(map(mul, beta, parity)) & 1 else 1
+            charges[beta] = (-n - 1 + sum(map(mul, beta, pair)), sign, weight_add(alpha, beta))
+        shift, sign, mu = charges[beta]
+        degree = shift + sum(k for k, _ in heis)
         if degree < 0:
             continue
-        if sum(map(mul, beta, parity)) & 1:
-            c = -c
-        mu = weight_add(alpha, beta)
+        c *= sign
         for kept, kdeg, t in _kept_parts(pair, heis, degree):
             key = (kept, degree - kdeg, mu)
             groups[key] = groups.get(key, 0) + c * t
@@ -366,12 +444,12 @@ def _letter_step(rows: tuple, alpha: Weight, n: int, items: frozenset) -> tuple:
 
 def vacuum_product(sig: Signature, alpha: Weight, n: int, beta: Weight) -> FockElement:
     """Product of two charged vacua: eps(a,b) S_e(a) v_{a+b}, e = -n-1-(a|b)."""
-    return _divide(*_apply_letter(_charge_rows(sig, alpha), alpha, n, {((), beta): 1}, 1))
+    return _element(*_apply_letter(_charge_rows(sig, alpha), alpha, n, {((), beta): 1}, 1))
 
 
 def product_charged(sig: Signature, alpha: Weight, n: int, x: FockElement) -> FockElement:
     """Product v_alpha [n] x, on the whole combination through the closed form."""
-    return _divide(*_apply_letter(_charge_rows(sig, alpha), alpha, n, *_clear(x)))
+    return _element(*_apply_letter(_charge_rows(sig, alpha), alpha, n, x.nums, x.den))
 
 
 def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
@@ -381,7 +459,7 @@ def locality_upper(sig: Signature, alpha: Weight, x: FockElement) -> int:
     order by at most k.  -(alpha|beta) is read off the pairing row of alpha.
     """
     pair = _charge_rows(sig, alpha)[0]
-    return max((sum(map(mul, beta, pair)) + sum(k for k, _ in heis) for heis, beta in x.terms), default=0)
+    return max((sum(map(mul, beta, pair)) + sum(k for k, _ in heis) for heis, beta in x.nums), default=0)
 
 
 @cache
@@ -425,10 +503,10 @@ def locality_order(sig: Signature, alpha: Weight, x: FockElement, lowest: int) -
     """m + 1 for the largest m >= lowest with v_alpha [m] x != 0, else None.
 
     Read off the lowest power of z in E^+(alpha, z) x by `_top_order`, on
-    the cleared numerators of x: no product is formed and no mode scanned.
+    the numerators of x: no product is formed and no mode scanned.
     The order is at most `locality_upper`.
     """
-    return _orders(sig, frozenset(_clear(x)[0].items()), ((alpha, lowest),), {})[0]
+    return _orders(sig, frozenset(x.nums.items()), ((alpha, lowest),), {})[0]
 
 
 def vacuum_product_orders(sig: Signature, alpha: Weight, n: int, beta: Weight, queries) -> list | None:
@@ -600,7 +678,7 @@ def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockEleme
     """
     if not cw:
         return x if m == -1 else FOCK_ZERO
-    data, den = _clear(x)
+    data, den = x.nums, x.den
     if len(cw) == 1:
         alpha, n = cw[0]
         j = -n - 1
@@ -608,9 +686,9 @@ def product_word(sig: Signature, cw: CWord, m: int, x: FockElement) -> FockEleme
         if not c:
             return FOCK_ZERO
         nums, d = _apply_letter(_charge_rows(sig, alpha), alpha, m - j, data, den)
-        return _divide({key: c * t for key, t in nums.items()}, d)
+        return _element({key: c * t for key, t in nums.items()}, d)
     nums, d = _word_step(tuple(_charge_rows(sig, a) for a, _ in cw), cw, m, frozenset(data.items()))
-    return _divide(nums, d * den)
+    return _element(nums, d * den)
 
 
 @cache
@@ -625,7 +703,7 @@ def _embed_word(sig: Signature, w: Word) -> tuple:
 
 def embed(sig: Signature, x: FreeElement) -> FockElement:
     """Homomorphism from the free algebra sending each generator a to v_a."""
-    return _divide(*_combine(*_clear(x), lambda w: _embed_word(sig, w)))
+    return _element(*_combine(*_clear(x), lambda w: _embed_word(sig, w)))
 
 
 # --- general products of states ------------------------------------------------
@@ -685,10 +763,9 @@ def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> Foc
     table; each group meets the letter step once, and its created letters
     join each output state.
     """
-    (dx, denx), (dy, deny) = _clear(x), _clear(y)
     groups = {}
-    for u, c1 in dx.items():
-        for st, c2 in dy.items():
+    for u, c1 in x.nums.items():
+        for st, c2 in y.nums.items():
             _state_kernel(sig.locality, u, n, st, c1 * c2, groups)
 
     def kernel(key):
@@ -697,7 +774,7 @@ def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> Foc
         nums, d = _apply_letter(_charge_rows(sig, alpha), alpha, mode, data, 1) if data else _ZERO
         return {(_merge(kept, created), mu): t for (kept, mu), t in nums.items()}, d
 
-    return _divide(*_combine(dict.fromkeys(groups, 1), denx * deny, kernel))
+    return _element(*_combine(dict.fromkeys(groups, 1), x.den * y.den, kernel))
 
 
 # --- exact elimination -------------------------------------------------------
@@ -745,15 +822,14 @@ def echelon(rows) -> dict:
 
 def rank(elements) -> int:
     """Exact rank over the rationals of the given elements: the size of the
-    echelon of their coordinates in the state basis, cleared to integers row
-    by row."""
-    return len(echelon(_clear(x)[0] for x in elements))
+    echelon of their integer numerators in the state basis."""
+    return len(echelon(x.nums for x in elements))
 
 
 def in_span(x: FockElement, elements) -> bool:
-    """Exact membership of x in the rational span of the elements: x, cleared
-    to integers, reduces to zero against their echelon."""
-    return not reduce_row(_clear(x)[0], echelon(_clear(y)[0] for y in elements))
+    """Exact membership of x in the rational span of the elements: the
+    numerators of x reduce to zero against their echelon."""
+    return not reduce_row(x.nums, echelon(y.nums for y in elements))
 
 
 # --- printing ----------------------------------------------------------------

@@ -310,8 +310,11 @@ def format_word(sig: Signature, w: Word) -> str:
     return "".join(f"{sig.generators[g]}({n})" for g, n in w) + "vac"
 
 
-def format_terms(x: Combination, body, key=None) -> str:
-    """Terms in `key` order as `body` or `c * body`, joined by ` + `; `0` when x is zero."""
+def format_terms(x, body, key=None) -> str:
+    """Terms in `key` order as `body` or `c * body`, joined by ` + `; `0` when x is zero.
+
+    x is a `Combination` or a `fock.FockElement`: anything with `is_zero` and `terms`.
+    """
     if x.is_zero():
         return "0"
     terms = x.terms

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 
 import pytest
@@ -585,6 +585,99 @@ def test_integer_accumulation_matches_fraction_sum(sig):
     assert minus > 0 or not signed  # cocycle -1 pairs occur wherever the lattice has them
 
 
+def _fraction_dict(data):
+    """The plain Fraction dict of a rational dict, zero coefficients dropped: the oracle."""
+    return {key: Fraction(c) for key, c in data.items() if c}
+
+
+def _canonical(x):
+    # nums and den are the reduced pair of x.terms, and .terms has exact types
+    assert x.den > 0 and all(type(c) is int and c for c in x.nums.values())
+    assert gcd(x.den, *x.nums.values()) == 1
+    assert x.terms == {key: Fraction(c, x.den) for key, c in x.nums.items()}
+    assert _exact_types(x)
+    return x
+
+
+def test_representation_against_fraction_dicts():
+    # FockElement(terms), +, -, negation, scale, == and hash of the (nums, den) pair
+    # against plain Fraction-dict arithmetic, on mixed int and Fraction coefficients
+    rng = seeded(43)
+    states = [_random_state(SIG_FREE2, rng, max_letters=2) for _ in range(6)]
+
+    def random_terms():
+        factor = rng.choice((1, 6, Fraction(1, 4), Fraction(10, 3)))
+        data = {}
+        for st_ in rng.sample(states, rng.randint(0, 4)):
+            c = rng.choice((0, rng.randint(-9, 9), _random_fraction(rng)))
+            data[st_] = c * factor if rng.random() < 0.8 else Fraction(c * factor)
+        return data
+
+    seen = {"zero": 0, "fraction": 0, "common": 0}
+    for _ in range(300):
+        dx, dy = random_terms(), random_terms()
+        x, y = _canonical(FockElement(dx)), _canonical(FockElement(dy))
+        fx, fy = _fraction_dict(dx), _fraction_dict(dy)
+        assert x.terms == fx and y.terms == fy
+        seen["zero"] += any(c == 0 for c in dx.values())
+        seen["fraction"] += x.den > 1
+        assert _canonical(x + y).terms == _fraction_dict({k: fx.get(k, 0) + fy.get(k, 0) for k in fx.keys() | fy.keys()})
+        assert _canonical(x - y).terms == _fraction_dict({k: fx.get(k, 0) - fy.get(k, 0) for k in fx.keys() | fy.keys()})
+        assert _canonical(-x).terms == {k: -c for k, c in fx.items()}
+        assert x.scale(1) is x
+        for c in (0, rng.randint(-5, 5), _random_fraction(rng)):
+            assert _canonical(x.scale(c)).terms == _fraction_dict({k: c * t for k, t in fx.items()})
+        # equal elements built in different ways: equal, with equal hashes
+        g = rng.randint(2, 12)
+        common = _canonical(fock._element({k: g * c for k, c in x.nums.items()}, g * x.den))
+        seen["common"] += bool(x.nums)
+        for other in (common, x + y - y, -(-x), x.scale(Fraction(2, 3)).scale(Fraction(3, 2)), FockElement(fx)):
+            assert other == x and hash(other) == hash(x)
+            assert (other.nums, other.den) == (x.nums, x.den)
+        assert (x == y) == (fx == fy)
+        assert (x.is_zero(), bool(x), x.support()) == (not fx, bool(fx), set(fx))
+    assert all(seen.values())
+    # an integral coefficient is an int, whatever type it was given as
+    z = FockElement({states[0]: Fraction(4, 2), states[1]: Fraction(0), states[2]: Fraction(3, 6)})
+    assert z.terms == {states[0]: 2, states[2]: Fraction(1, 2)} and type(z.terms[states[0]]) is int
+    assert repr(z) == f"FockElement({z.terms!r})"
+    assert FockElement({states[0]: 0}) == fock.FOCK_ZERO and (fock.FOCK_ZERO.nums, fock.FOCK_ZERO.den) == ({}, 1)
+
+
+def test_results_never_alias_the_memo():
+    # results of embed, product_word and product_charged, combined with + and scale and
+    # then even written into, leave the memoized kernel values as they were: each repeat
+    # of the same calls, all memo hits, equals the first result
+    sig = SIG_FREE2
+    a, b = sig.unit_weight(0), sig.unit_weight(1)
+    right = embed(sig, FreeElement({((1, -2),): 1, ((0, -1), (1, -1)): Fraction(1, 2)}))
+    calls = [
+        lambda: embed(sig, FreeElement({((0, -2), (1, -1)): 1})),
+        lambda: embed(sig, FreeElement({((0, 1), (1, -3)): Fraction(2, 3), ((1, -2), (0, -1)): -1})),
+        lambda: product_word(sig, charged_word(sig, ((0, -2), (1, -1))), -1, right),
+        lambda: product_word(sig, charged_word(sig, ((1, -1),)), -2, right),
+        lambda: product_charged(sig, a, -2, right),
+        lambda: product_charged(sig, b, -1, vacuum_element(sig, a)),
+        lambda: vacuum_product(sig, a, -3, b),
+    ]
+    first = [call() for call in calls]
+    expected = [FockElement(dict(x.terms)) for x in first]
+    assert all(not x.is_zero() for x in first)
+    total = fock.FOCK_ZERO
+    for x in first:
+        total = total + x.scale(Fraction(-3, 2)) - x.scale(2)
+    assert total == sum((x.scale(Fraction(-7, 2)) for x in expected), fock.FOCK_ZERO)
+    for x in first:
+        for key in x.nums:
+            x.nums[key] *= 7
+    assert fock._embed_word(sig, ((0, -2), (1, -1)))[0] is not first[0].nums
+    before = fock._letter_step.cache_info().hits
+    for call, want in zip(calls, expected):
+        again = call()
+        assert again == want and again.terms == want.terms
+    assert fock._letter_step.cache_info().hits > before
+
+
 def test_letter_kernel_shared_by_equal_charge_rows():
     # the letter step of v_b is keyed by b's pairing row (N(b,a), N(b,b)) and cocycle row, not by the signature
     b, beta, n = (0, 1), (1, 0), -3
@@ -677,7 +770,7 @@ def test_apply_letter_against_recursion(sig):
         empty += not data
         rows = fock._charge_rows(sig, alpha)
         nums, d = fock._apply_letter(rows, alpha, n, data, den)
-        assert fock._divide(nums, d) == _oracle_apply(sig, alpha, n, data, den)
+        assert fock._element(nums, d) == _oracle_apply(sig, alpha, n, data, den)
         assert d > 0
         cw = ((alpha, n), (alpha, -1))
         if not data or max(_out_degree(sig, cw, -1, st_) for st_ in data) <= 6:
@@ -703,7 +796,7 @@ def test_apply_letter_cancelling_numerators(sig):
     data = {(((1, 0),), beta): pb, (((1, 1),), beta): -pa}
     cancelled = 0
     for n in range(-4, 1):
-        got = fock._divide(*fock._apply_letter(rows, alpha, n, data, 1))
+        got = fock._element(*fock._apply_letter(rows, alpha, n, data, 1))
         assert got == _oracle_apply(sig, alpha, n, data, 1)
         x = vacuum_product(sig, alpha, n, beta)
         assert got == heis_act(sig, 0, -1, x).scale(pb) - heis_act(sig, 1, -1, x).scale(pa)
@@ -743,13 +836,13 @@ def test_word_step_against_state_product(sig):
         done[len(cw)] += 1
         nums, d = fock._word_step(_word_rows(sig, cw), cw, m, frozenset(data.items()))
         assert d > 0
-        got = fock._divide(nums, d * den)
+        got = fock._element(nums, d * den)
         left = _word_image(sig, cw)
         expected = fock.FOCK_ZERO
         for st_, c in data.items():
             expected = expected + product_state(sig, left, m, fock.state_element(st_)).scale(Fraction(c, den))
         assert got == expected
-        assert got == product_word(sig, cw, m, fock._divide(data, den))
+        assert got == product_word(sig, cw, m, fock._element(data, den))
         mixed += len({st_[1] for st_ in data}) > 1 and len(degrees) > 1
         nonzero += not got.is_zero()
     assert mixed and nonzero
@@ -777,11 +870,11 @@ def test_word_step_cancelling_numerators(sig):
         rows = _word_rows(sig, cw)
         top = _out_degree(sig, cw, 0, ((), beta))  # the vacuum's output degree at m = 0
         for m in range(top - 3, top + 1):
-            got = fock._divide(*fock._word_step(rows, cw, m, frozenset(data.items())))
+            got = fock._element(*fock._word_step(rows, cw, m, frozenset(data.items())))
             x = product_word(sig, cw, m, vacuum_element(sig, beta))
             assert got == heis_act(sig, 0, -1, x).scale(pb) - heis_act(sig, 1, -1, x).scale(pa)
             assert got == product_state(sig, _word_image(sig, cw), m, FockElement(data))
-            one = fock._divide(*fock._word_step(rows, cw, m, frozenset(single.items())))
+            one = fock._element(*fock._word_step(rows, cw, m, frozenset(single.items())))
             cancelled += one != heis_act(sig, 0, -1, x)
     assert cancelled
 

@@ -324,12 +324,24 @@ def test_cli_verify_unknown_suite(ferm_cfg, capsys):
     assert captured.err == "validation error: unknown suite 'nonsense' (dong, locfun, presentation, boson-fermion)\n"
 
 
-def test_cli_embed_machine_states(ferm_cfg, capsys):
+def test_cli_embed_machine_states(ferm_cfg, free2_cfg, capsys):
     code = cli.run(["--format", "machine", "embed", ferm_cfg, "a(-2)a(-1)vac"])
     assert code == 0
     record = json.loads(capsys.readouterr().out)
     assert record["result"] == "v[2a]"
     assert record["states"] == [{"coeff": "1", "heis": [], "charge": [2]}]
+    # integral and fractional coefficients of one image, read off its terms state by state
+    assert cli.run(["--format", "machine", "embed", free2_cfg, "a(1)b(-3)vac"]) == 0
+    assert capsys.readouterr().out == EMBED_FREE2_RECORD + "\n"
+
+
+EMBED_FREE2_RECORD = (
+    '{"command": "embed", "result": "3/2 * a(-1)a(-1) v[a+b] + 2 * b(-1)a(-1) v[a+b] + 1/2 * b(-1)b(-1) v[a+b]'
+    ' + 3/2 * a(-2) v[a+b] + 1/2 * b(-2) v[a+b]", "states": [{"charge": [1, 1], "coeff": "3/2", "heis": [["a", 1],'
+    ' ["a", 1]]}, {"charge": [1, 1], "coeff": "2", "heis": [["a", 1], ["b", 1]]}, {"charge": [1, 1], "coeff":'
+    ' "1/2", "heis": [["b", 1], ["b", 1]]}, {"charge": [1, 1], "coeff": "3/2", "heis": [["a", 2]]},'
+    ' {"charge": [1, 1], "coeff": "1/2", "heis": [["b", 2]]}]}'
+)
 
 
 def test_suite_failure_exit_code(capsys):
