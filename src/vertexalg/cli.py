@@ -29,12 +29,25 @@ EXIT_SUITE = 3
 EXIT_RESOURCE = 4
 
 
+@cache
+def _config(text: str) -> Signature:
+    """The signature of a configuration text, built once per process and text."""
+    return load_config(text)
+
+
 def _load(path: str) -> Signature:
+    """The signature of the configuration file at path, read on every call.
+
+    Repeated runs on one file text get the same `Signature` object, so a
+    memo hit on it compares by identity; equality stays by value.  A
+    malformed text raises on every call, since an exception is not cached.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return load_config(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise SignatureError(f"cannot read configuration {path!r}: {exc}") from None
+    return _config(text)
 
 
 def _int_param(name: str, text: str, least: int = None) -> int:

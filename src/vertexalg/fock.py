@@ -19,11 +19,15 @@ a letter contracts shift its power of z.  The general product reads the
 vertex operator of a left state h1(-k1)...hp(-kp) v_a as the normally
 ordered product of the derivatives of its Heisenberg fields with
 Y(v_a, z): each letter is created, or contracts with the right state, in
-one loop.  Every pair of states of the two elements adds its coefficients
-to one table keyed by (left charge, created letters, mode), whose values
-are combinations of the remaining right states; each entry meets the
-letter step once, and its created letters join the step's output after
-it.
+one loop.  What that loop reads of a right state (its pairings with each
+generator and its level) is computed once per right state, not once per
+pair.  Every pair of states of the two elements adds its coefficients to
+one table keyed by (left charge, created letters, mode), whose values are
+combinations of the remaining right states; each entry meets the letter
+step once, and its created letters join the step's output after it.  A
+left state of charge 0 forms only groups at mode -1: v_0 is the vacuum and
+Y(v_0, z) = id, so v_0 [n] is zero for every n but -1, and the last letter
+of such a state takes only the one term that lands there.
 
 Locality orders are read off E^+ alone.  On a state of charge beta,
 Y(v_a, z) st = eps z^{(a|beta)} E^-(a, z) E^+(a, z) st, and E^-(a, z) has
@@ -709,7 +713,18 @@ def embed(sig: Signature, x: FreeElement) -> FockElement:
 # --- general products of states ------------------------------------------------
 
 
-def _state_kernel(loc, u: State, m: int, st: State, c: int, groups: dict) -> None:
+def _right_forms(loc, st: State) -> tuple:
+    """What the state kernel reads of a right state st = h1(-k1)...hq(-kq) v_beta, once per state.
+
+    Returns ((h|beta) for each generator h, whether h(n), n >= 0, acts on st
+    for each h, the level k1 + ... + kq), read off the locality matrix loc.
+    """
+    heis, beta = st
+    hb = [-sum(b * n for b, n in zip(beta, row)) for row in loc]
+    return hb, [f or any(row[g] for _, g in heis) for f, row in zip(hb, loc)], sum(k for k, _ in heis)
+
+
+def _state_kernel(loc, u: State, m: int, st: State, forms: tuple, c: int, groups: dict) -> None:
     """Add c * (u [m] st) to groups, in closed form (Frenkel-Lepowsky-Meurman; Kac).
 
     Y(h1(-k1)...hp(-kp) v_alpha, w) = :d^(k1-1)h1(w) ... d^(kp-1)hp(w) Y(v_alpha, w):
@@ -722,31 +737,40 @@ def _state_kernel(loc, u: State, m: int, st: State, c: int, groups: dict) -> Non
     letters, mode) of groups of the created letters times v_alpha [mode] on
     the key's integer combination of (rest, beta) states.  The created levels
     are capped so that its degree can stay >= 0 after the lowest power later
-    letters give.  It reads the forms (h|beta), (h|h') and (alpha|beta) off
-    the locality matrix loc and applies no step.
+    letters give.  At alpha = 0, Y(v_0, w) = id, so v_0 [mode] is zero at
+    every mode but -1: the last letter takes only the one created level, the
+    h(0) or the removed level that lands there, and no other group is formed.
+    forms = _right_forms(loc, st); the kernel reads (h|h') and (alpha|beta)
+    off loc and forms, and applies no step.
     """
     uheis, alpha = u
     heis, beta = st
-    hb = [-sum(b * n for b, n in zip(beta, row)) for row in loc]  # (h|beta)
-    acts = [f or any(row[g] for _, g in heis) for f, row in zip(hb, loc)]  # h(n), n >= 0, on st
-    level = sum(k for k, _ in uheis) + sum(k for k, _ in heis)
+    hb, acts, level = forms
+    level += sum(k for k, _ in uheis)
     # the largest level the created letters may reach; it grows by k with each letter that can only be created
     cap = -m - 1 - sum(map(mul, alpha, hb)) + level - sum(k for k, h in uheis if not acts[h])
+    last = len(uheis) - 1 if not any(alpha) else -1  # the letter whose power is fixed at charge 0
     out = {((), 0, heis): c}  # (created letters, their level, rest of st) -> coefficient
-    for k, h in uheis:
+    for i, (k, h) in enumerate(uheis):
         cap += 0 if acts[h] else k
+        exact = i == last
         nxt = {}
         for (created, cdeg, rest), c in out.items():
-            for j in range(k, cap - cdeg + 1):
+            if exact:  # the level to create, 0 for h(0), or minus the level to remove, that lands at mode -1
+                need = level - m - 1 - cdeg - sum(n for n, _ in rest)
+                js = (need,) if need >= k else ()
+            else:
+                js = range(k, cap - cdeg + 1)
+            for j in js:
                 key = (_insert(created, (j, h)), cdeg + j, rest)
                 nxt[key] = nxt.get(key, 0) + c * binomial(j - 1, k - 1)
-            if hb[h]:
+            if hb[h] and (not exact or not need):
                 key = (created, cdeg, rest)
                 nxt[key] = nxt.get(key, 0) + (-c if k & 1 == 0 else c) * hb[h]
             for idx, letter in enumerate(rest if acts[h] else ()):
                 n, g = letter
                 f = -loc[h][g]  # (h|h')
-                if f and (not idx or rest[idx - 1] != letter):
+                if f and (not idx or rest[idx - 1] != letter) and (not exact or n == -need):
                     key = (created, cdeg, rest[:idx] + rest[idx + 1 :])
                     f *= binomial(-n - 1, k - 1) * n * rest.count(letter)
                     nxt[key] = nxt.get(key, 0) + c * f
@@ -759,14 +783,18 @@ def _state_kernel(loc, u: State, m: int, st: State, c: int, groups: dict) -> Non
 def product_state(sig: Signature, x: FockElement, n: int, y: FockElement) -> FockElement:
     """General bilinear product x [n] y of Fock elements.
 
-    Every pair of states adds its (alpha, created, mode) groups into one
-    table; each group meets the letter step once, and its created letters
+    The forms the state kernel reads of each right state are computed once
+    per state, not once per pair.  Every pair of states adds its (alpha,
+    created, mode) groups into one table, a left state of charge 0 only at
+    mode -1; each group meets the letter step once, and its created letters
     join each output state.
     """
+    loc = sig.locality
+    rights = [(st, c2, _right_forms(loc, st)) for st, c2 in y.nums.items()]
     groups = {}
     for u, c1 in x.nums.items():
-        for st, c2 in y.nums.items():
-            _state_kernel(sig.locality, u, n, st, c1 * c2, groups)
+        for st, c2, forms in rights:
+            _state_kernel(loc, u, n, st, forms, c1 * c2, groups)
 
     def kernel(key):
         alpha, created, mode = key

@@ -645,12 +645,15 @@ def test_representation_against_fraction_dicts():
 
 
 def test_results_never_alias_the_memo():
-    # results of embed, product_word and product_charged, combined with + and scale and
+    # results of embed, product_word, product_charged, vacuum_product and product_state
+    # (with a charge-zero and a charged left element), combined with + and scale and
     # then even written into, leave the memoized kernel values as they were: each repeat
     # of the same calls, all memo hits, equals the first result
     sig = SIG_FREE2
     a, b = sig.unit_weight(0), sig.unit_weight(1)
     right = embed(sig, FreeElement({((1, -2),): 1, ((0, -1), (1, -1)): Fraction(1, 2)}))
+    omega_like = FockElement({(((1, 0), (1, 1)), (0, 0)): Fraction(1, 2), (((1, 0), (1, 0)), (0, 0)): 3})
+    charged = FockElement({(((1, 1),), a): Fraction(2, 3), ((), a): 1})
     calls = [
         lambda: embed(sig, FreeElement({((0, -2), (1, -1)): 1})),
         lambda: embed(sig, FreeElement({((0, 1), (1, -3)): Fraction(2, 3), ((1, -2), (0, -1)): -1})),
@@ -659,6 +662,8 @@ def test_results_never_alias_the_memo():
         lambda: product_charged(sig, a, -2, right),
         lambda: product_charged(sig, b, -1, vacuum_element(sig, a)),
         lambda: vacuum_product(sig, a, -3, b),
+        lambda: product_state(sig, omega_like, 1, right),
+        lambda: product_state(sig, charged, -1, right),
     ]
     first = [call() for call in calls]
     expected = [FockElement(dict(x.terms)) for x in first]
@@ -906,7 +911,7 @@ def _state_groups(sig, pairs, m):
     """The (alpha, created, mode) groups of the state kernel over the integer-weighted pairs."""
     groups = {}
     for (u, st_), c in pairs.items():
-        fock._state_kernel(sig.locality, u, m, st_, c, groups)
+        fock._state_kernel(sig.locality, u, m, st_, fock._right_forms(sig.locality, st_), c, groups)
     return groups
 
 
@@ -978,6 +983,78 @@ def test_left_charged_vacuum_shares_the_letter_step(sig):
         assert after.misses == before.misses and after.hits == before.hits + 1
         nonzero += not expected.is_zero()
     assert nonzero
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_charge_zero_state_product_against_recursion(sig):
+    # x [m] y for left combinations of charge 0, where only groups at mode -1
+    # are formed: omega-like sums of h_i(-1) h_j(-1) v_0 and sums of 1-3
+    # letters of levels 1-2 (repeated letters among them), with Fraction
+    # coefficients, at modes -4..3, on right combinations of mixed charges,
+    # equal the Fraction sum of the recursion over all pairs
+    rng = seeded(43)
+    zero = sig.zero_weight()
+    done = nonzero = repeated = mixed = 0
+    while done < 24:
+        if done % 3 == 0:  # omega-like, at every mode in turn
+            squares = [((1, j), (1, i)) for i in range(sig.size) for j in range(i + 1)]
+            data = {(heis, zero): _random_fraction(rng) for heis in squares}
+        else:
+            data, size = {}, rng.randint(2, 3)
+            while len(data) < size:
+                heis = tuple(sorted((rng.randint(1, 2), rng.randrange(sig.size)) for _ in range(rng.randint(1, 3))))
+                data[heis, zero] = _random_fraction(rng)
+        x = FockElement(data)
+        y = _random_fock(sig, rng, nstates=rng.randint(2, 3))
+        m = done % 8 - 4
+        levels = [sum(k for k, _ in u[0]) + _out_degree(sig, ((zero, -1),), m, st_) for u in x.terms for st_ in y.terms]
+        if max(levels) > 6:
+            continue
+        done += 1
+        pairs = {(u, st_): c1 * c2 for u, c1 in x.terms.items() for st_, c2 in y.terms.items()}
+        got = product_state(sig, x, m, y)
+        assert got == _fraction_sum(lambda p: _oracle_state_product(sig, p[0], m, p[1]), pairs)
+        assert _exact_types(got)
+        nonzero += not got.is_zero()
+        repeated += any(len(set(u[0])) < len(u[0]) for u in x.terms)
+        mixed += len({st_[1] for st_ in y.terms}) > 1
+        assert all(mode == -1 for _, _, mode in _state_groups(sig, dict.fromkeys(pairs, 1), m))
+    assert nonzero >= 12 and repeated and mixed
+
+
+def _omega(sig, gram):
+    """omega = 1/2 sum_ij (G^-1)_ij h_i(-1) h_j(-1) v_0, the inverse form from sympy."""
+    inv = sympy.Matrix(gram).inv()
+    vac = vacuum_element(sig)
+    terms = {}
+    for i in range(sig.size):
+        for j in range(sig.size):
+            st_ = heis_act(sig, i, -1, heis_act(sig, j, -1, vac))
+            for key, c in st_.terms.items():
+                terms[key] = terms.get(key, 0) + c * Fraction(int(inv[i, j].p), 2 * int(inv[i, j].q))
+    return FockElement(terms)
+
+
+def test_omega_runs_no_charge_zero_letter_step_off_mode_minus_one(monkeypatch):
+    # on D4's omega at modes 0-3 every letter step at charge 0 runs at mode -1
+    # (v_0 [n] = 0 for n != -1), and the Virasoro relations hold with central
+    # charge 4: omega [0] omega = D omega, [1] = 2 omega, [2] = 0, [3] = 2 vac
+    gram = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+    sig = make_signature(["a", "b", "c", "d"], [[-g for g in row] for row in gram])
+    omega = _omega(sig, gram)
+    assert len(omega.nums) == 10
+    steps = []
+    apply_letter = fock._apply_letter
+
+    def recording(rows, alpha, n, data, den):
+        steps.append((alpha, n))
+        return apply_letter(rows, alpha, n, data, den)
+
+    monkeypatch.setattr(fock, "_apply_letter", recording)
+    got = [product_state(sig, omega, n, omega) for n in range(4)]
+    zero = sig.zero_weight()
+    assert steps and all(n == -1 for alpha, n in steps if alpha == zero)
+    assert got == [translate(sig, omega), omega.scale(2), fock.FOCK_ZERO, vacuum_element(sig).scale(2)]
 
 
 def _scan_order(sig, alpha, x, lowest):

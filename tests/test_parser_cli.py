@@ -16,6 +16,7 @@ from vertexalg.words import FreeElement, Gen, Prod, Vac, evaluate, format_elemen
 from vertexalg import cli
 from vertexalg.basis import dim_component
 from vertexalg.rewrite import StepBudgetExceeded
+from vertexalg.signature import Signature
 
 from conftest import SIG_FERM, SIG_FREE2
 
@@ -195,6 +196,40 @@ def test_cli_runs_in_one_process_match_fresh_processes(ferm_cfg, tmp_path, capsy
         codes.append(code)
     assert codes == [0, 0, 1, 2, 0]
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_one_signature_per_configuration_text(tmp_path, capsys, monkeypatch):
+    # runs on one configuration text share one Signature, so a second run's memo
+    # hits compare keys by identity and make no Signature.__eq__ call; equality
+    # stays by value, an edited text gives a new signature, and a malformed text
+    # exits 2 on every run, since an error is not cached
+    cfg = tmp_path / "pq.cfg"
+    text = '{"generators": ["p", "q"], "locality": [[-3, 2], [2, 1]]}'  # no other test uses it
+    cfg.write_text(text)
+    commands = (
+        ["normal-form", str(cfg), "p(-1)q(-2)vac"],
+        ["embed", str(cfg), "p(1)q(-3)vac"],
+        ["verify", "dong", str(cfg), "2"],
+    )
+    first = [cli.run(argv) for argv in commands], capsys.readouterr()
+    sig = cli._load(str(cfg))
+    calls = []
+    eq = Signature.__eq__
+    monkeypatch.setattr(Signature, "__eq__", lambda self, other: calls.append(other) or eq(self, other))
+    assert ([cli.run(argv) for argv in commands], capsys.readouterr()) == first
+    assert first[0] == [0, 0, 0] and not calls
+    monkeypatch.undo()
+    assert cli._load(str(cfg)) is sig
+    cfg.write_text(" " + text)
+    assert cli._load(str(cfg)) is not sig and cli._load(str(cfg)) == sig
+    cfg.write_text(text.replace("-3", "-1"))
+    assert cli._load(str(cfg)).locality == ((-1, 2), (2, 1))
+    entries = cli._config.cache_info().currsize
+    cfg.write_text(MALFORMED_CONFIGS[0][0])
+    for _ in range(3):
+        assert cli.run(["basis", str(cfg), "a", "0"]) == 2
+        assert capsys.readouterr().err == f"validation error: {MALFORMED_CONFIGS[0][1]}\n"
+    assert cli._config.cache_info().currsize == entries
 
 
 def test_cli_parse_error_exit(ferm_cfg, capsys):

@@ -127,7 +127,8 @@ def test_verify_locfun_records():
 
 
 # sha256 of the full text and machine reports, as commit 0626d58 printed them
-# (the degenerate and hyperbolic forms as commit 089017b printed them)
+# (the degenerate and hyperbolic forms as commit 089017b printed them, D4 and
+# Z^2 as commit 4f63c17 printed them)
 PRESENTATION_DIGESTS = {
     ((-1,),): (
         "a9fc8f7984c601077a869b58711eec412b9d668dae453bf9f3e0fe3ad86722d2",
@@ -147,12 +148,23 @@ PRESENTATION_DIGESTS = {
         "c62319b9cc13aaae987920cab3a2c3bff86824361aae6eda1480a0683cad9de0",
         "6b30e64dc63ee7229fda7a0f1d88dd726c30e49543448246d497f829ed9b3556",
     ),
+    # gram D4 and Z^2: omega is a sum of 10 and of 2 charge-zero states, acting through product_state
+    ((-2, 1, 0, 0), (1, -2, 1, 1), (0, 1, -2, 0), (0, 1, 0, -2)): (
+        "0e44bca8a6bac7b6d29cb9a17bf0a2182c51f098b36eef54dfb98a205eeca663",
+        "ca564426e82ac3767e63ed248d837b37777184e337079035aaf8dc5f81a93004",
+    ),
+    ((-1, 0), (0, -1)): (
+        "3a444ad472b2c4b1197ffe4708d17fa22318a652180d67b36573aa1827f72c91",
+        "a5d29e38b4b1d5f9597dcefd3d8b35c6293c2503969e1ab76895ef8835057866",
+    ),
 }
 
 
-@pytest.mark.parametrize("locality", list(PRESENTATION_DIGESTS), ids=("rank1", "A2", "degenerate", "hyperbolic"))
+@pytest.mark.parametrize(
+    "locality", list(PRESENTATION_DIGESTS), ids=("rank1", "A2", "degenerate", "hyperbolic", "D4", "Z2")
+)
 def test_presentation_reports_unchanged(locality):
-    rep = verify_presentation(make_signature(["a", "b"][: len(locality)], locality))
+    rep = verify_presentation(make_signature(["a", "b", "c", "d"][: len(locality)], locality))
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.render_text(), rep.render_machine()))
     assert digests == PRESENTATION_DIGESTS[locality]
 
