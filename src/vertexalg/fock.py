@@ -9,25 +9,29 @@ act on a whole integer combination of states at once.  The letter step
 applies a single v_a [n] (vacuum products, charged products, one-letter
 words, the embedding of the free algebra letter by letter): it sums the
 contraction coefficients of every state by (kept letters, Schur degree,
-charge) and multiplies each distinct kept part by the Schur polynomial
-once.  Its contractions (`_kept_parts`) keep r of each run of equal
-letters with one binomial coefficient.  The word step applies the image of
-a charged word a1(n1)...ak(nk) vac, k >= 2, the same way, with one Schur
-polynomial per letter; its letters contract one after another through the same
-`_kept_parts`, each with the letters the earlier ones kept, and the levels
-a letter contracts shift its power of z.  The general product reads the
-vertex operator of a left state h1(-k1)...hp(-kp) v_a as the normally
-ordered product of the derivatives of its Heisenberg fields with
-Y(v_a, z): each letter is created, or contracts with the right state, in
-one loop.  What that loop reads of a right state (its pairings with each
-generator and its level) is computed once per right state, not once per
-pair.  Every pair of states of the two elements adds its coefficients to
-one table keyed by (left charge, created letters, mode), whose values are
-combinations of the remaining right states; each entry meets the letter
-step once, and its created letters join the step's output after it.  A
-left state of charge 0 forms only groups at mode -1: v_0 is the vacuum and
-Y(v_0, z) = id, so v_0 [n] is zero for every n but -1, and the last letter
-of such a state takes only the one term that lands there.
+charge) and reads each distinct kept part times the Schur polynomial from
+`_schur_product`, so each kept part is merged into a polynomial once per
+process, not once per group.  Its contractions (`_kept_parts`) keep r of
+each run of equal letters with one binomial coefficient.  The word step
+applies the image of a charged word a1(n1)...ak(nk) vac, k >= 2, the same
+way, with one Schur polynomial per letter; its letters contract one after
+another through the same `_kept_parts`, each with the letters the earlier
+ones kept, and the levels a letter contracts shift its power of z.  Schur
+degrees that differ by a permutation among letters of equal charge give the
+same product, so their weights are summed under the sorted factors before
+any kept part meets it.  The general product reads the vertex operator of
+a left state h1(-k1)...hp(-kp) v_a as the normally ordered product of the
+derivatives of its Heisenberg fields with Y(v_a, z): each letter is
+created, or contracts with the right state, in one loop.  What that loop
+reads of a right state (its pairings with each generator and its level) is
+computed once per right state, not once per pair.  Every pair of states of
+the two elements adds its coefficients to one table keyed by (left charge,
+created letters, mode), whose values are combinations of the remaining
+right states; each entry meets the letter step once, and its created
+letters join the step's output after it.  A left state of charge 0 forms
+only groups at mode -1: v_0 is the vacuum and Y(v_0, z) = id, so v_0 [n] is
+zero for every n but -1, and the last letter of such a state takes only the
+one term that lands there.
 
 Locality orders are read off E^+ alone.  On a state of charge beta,
 Y(v_a, z) st = eps z^{(a|beta)} E^-(a, z) E^+(a, z) st, and E^-(a, z) has
@@ -61,9 +65,13 @@ each letter of the embedding and the numerators of `embed(v)` that a
 one-letter product receives are the same key, and so are a right element
 that `product_charged` receives and the one group a left charged vacuum
 makes of it in the general product.  `_top_order` is keyed by the pairing
-row alone, the combination and the lowest mode.  `_schur`, `_schur_product`
-and `_compositions` never read a signature.  Only `_charge_rows` and the
-embedding of a word, `_embed_word`, are keyed by the signature.
+row alone, the combination and the lowest mode.  `_schur_product` is keyed
+by (kept letters, sorted (charge, degree) factors) and holds the kept
+letters merged into each monomial of prod e! S_e(charge); its kept-free
+entry is the product itself, and the letter step reads it with the one
+factor (alpha, e).  `_schur`, `_schur_product` and `_compositions` never
+read a signature.  Only `_charge_rows` and the embedding of a word,
+`_embed_word`, are keyed by the signature.
 
 States are pairs (heis, charge): `heis` is the creation multiset as a tuple
 of (level, generator) pairs sorted ascending (creation operators commute,
@@ -414,9 +422,10 @@ def _letter_step(rows: tuple, alpha: Weight, n: int, items: frozenset) -> tuple:
     v_{alpha+beta}, e_S = -n-1-(alpha|beta) + sum_{l in S} k_l; S runs over
     the contracted letters, equal letters grouped with a binomial
     multiplicity.  The signed contraction coefficients of every state are
-    summed by (kept letters, e_S, alpha+beta) first, so each distinct kept
-    part meets e! S_e(alpha) once.  rows = _charge_rows(sig, alpha) is all it
-    reads of the signature.
+    summed by (kept letters, e_S, alpha+beta) first; each group then reads
+    its kept letters times e! S_e(alpha), already merged, from
+    `_schur_product(kept, ((alpha, e),))`, so no group sorts a state.
+    rows = _charge_rows(sig, alpha) is all it reads of the signature.
     """
     pair, parity = rows
     charges = {}  # beta -> (-n-1-(alpha|beta), cocycle sign, alpha+beta), read once per charge
@@ -440,8 +449,8 @@ def _letter_step(rows: tuple, alpha: Weight, n: int, items: frozenset) -> tuple:
     data = {}
     for (kept, e, mu), c in groups.items():
         c *= denom // factorial(e)
-        for mono, t in _schur(alpha, e):
-            key = (_merge(kept, mono), mu)
+        for heis, t in _schur_product(kept, ((alpha, e),)):
+            key = (heis, mu)
             data[key] = data.get(key, 0) + c * t
     return _reduce(data, denom)
 
@@ -578,17 +587,36 @@ def _compositions(total: int, parts: int) -> tuple:
 
 
 @cache
-def _schur_product(factors: tuple) -> tuple:
-    """prod e! S_e(alpha) over the sorted (alpha, e) factors, as ((heis, int), ...)."""
+def _schur_product(kept: tuple, factors: tuple) -> tuple:
+    """kept times prod e! S_e(alpha) over the sorted (alpha, e) factors, as ((heis, int), ...).
+
+    The kept-free entry is the product itself; any other entry merges the
+    kept letters into each of its monomials, so each distinct kept part is
+    sorted into a product once per process.  Distinct monomials stay
+    distinct, so no coefficient is summed.
+    """
+    if kept:
+        return tuple((tuple(sorted(kept + mono)), c) for mono, c in _schur_product((), factors))
+    if not factors:
+        return (((), 1),)
     alpha, e = factors[0]
     if len(factors) == 1:
         return _schur(alpha, e)
     data = {}
     for m1, c1 in _schur(alpha, e):
-        for m2, c2 in _schur_product(factors[1:]):
+        for m2, c2 in _schur_product((), factors[1:]):
             key = _merge(m1, m2)
             data[key] = data.get(key, 0) + c1 * c2
     return tuple((k, c) for k, c in data.items() if c)
+
+
+def _factors(alphas: list, es: tuple) -> tuple:
+    """The sorted (a_i, e_i) factors with e_i > 0 of the Schur degrees es.
+
+    Compositions that permute the e_i among letters of equal charge give the
+    same factors, and so the same product of the e_i! S_{e_i}(a_i).
+    """
+    return tuple(sorted((a, e) for a, e in zip(alphas, es) if e))
 
 
 @cache
@@ -606,9 +634,11 @@ def _word_step(rows: tuple, cw: CWord, m: int, items: frozenset) -> tuple:
     The signed contraction coefficients of every state are summed by (kept
     letters, (a_i|beta) less the levels contracted with a_i, remaining
     degree, charge) first; each group is spread over the Schur degrees e
-    into weights per (e, charge), and each of those meets the product of
-    the e_i! S_{e_i}(a_i) once.  rows[i] = _charge_rows(sig, a_i) is all it
-    reads of the signature.
+    into weights per (sorted factors (a_i, e_i), charge), so compositions
+    that permute the e_i among letters of equal charge share one weight,
+    and each kept part of a weight reads its product with the
+    e_i! S_{e_i}(a_i), already merged, from `_schur_product`.
+    rows[i] = _charge_rows(sig, a_i) is all it reads of the signature.
     """
     d0, expansion = _word_expansion(rows, cw)
     if not expansion:
@@ -638,7 +668,7 @@ def _word_step(rows: tuple, cw: CWord, m: int, items: frozenset) -> tuple:
             if kdeg <= degree:
                 key = (kept, tuple(map(sub, b, shifts)), degree - kdeg, mu)
                 groups[key] = groups.get(key, 0) + t
-    weights = {}  # (e, charge) -> kept -> integer weight
+    weights = {}  # (factors, charge) -> kept -> integer weight
     for (kept, bp, rest, mu), c in groups.items():
         if not c:
             continue
@@ -653,22 +683,20 @@ def _word_step(rows: tuple, cw: CWord, m: int, items: frozenset) -> tuple:
                 else:
                     w += bt
             if w:
-                row = weights.setdefault((es, mu), {})
+                row = weights.setdefault((_factors(alphas, es), mu), {})
                 row[kept] = row.get(kept, 0) + c * w
-    denom = factorial(max((sum(es) for es, _ in weights), default=0))
+    denom = factorial(max((sum(e for _, e in factors) for factors, _ in weights), default=0))
     data = {}
-    for (es, mu), row in weights.items():
+    for (factors, mu), row in weights.items():
         scale = denom
-        factors = []
-        for alpha, e in zip(alphas, es):
-            if e:
-                scale //= factorial(e)
-                factors.append((alpha, e))
-        poly = _schur_product(tuple(sorted(factors))) if factors else (((), 1),)
+        for _, e in factors:
+            scale //= factorial(e)
         for kept, w in row.items():
+            if not w:  # compositions of one factor multiset can cancel
+                continue
             w *= scale
-            for mono, t in poly:
-                key = (_merge(kept, mono), mu)
+            for heis, t in _schur_product(kept, factors):
+                key = (heis, mu)
                 data[key] = data.get(key, 0) + w * t
     return _reduce(data, denom)
 

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
@@ -38,6 +39,7 @@ from conftest import ALL_SIGS, SIG_FERM, SIG_FREE2, SIG_NEG, components, random_
 
 ODD2 = make_signature(["a", "b"], [[-1, 0], [0, -1]])  # two odd generators, (a|b) = 0
 A2 = make_signature(["a", "b"], [[-2, 1], [1, -2]])  # N = -Gram of the A2 root lattice
+FREE4 = make_signature(["a", "b"], [[4, 1], [1, 2]])  # (a|a) = -4: a(n) a vanishes only from n = 4
 
 
 def test_cocycle_examples():
@@ -644,11 +646,23 @@ def test_representation_against_fraction_dicts():
     assert FockElement({states[0]: 0}) == fock.FOCK_ZERO and (fock.FOCK_ZERO.nums, fock.FOCK_ZERO.den) == ({}, 1)
 
 
-def test_results_never_alias_the_memo():
+def test_results_never_alias_the_memo(monkeypatch):
     # results of embed, product_word, product_charged, vacuum_product and product_state
     # (with a charge-zero and a charged left element), combined with + and scale and
     # then even written into, leave the memoized kernel values as they were: each repeat
-    # of the same calls, all memo hits, equals the first result
+    # of the same calls, all memo hits, equals the first result, and every
+    # _schur_product entry that the letter and word steps read is unchanged
+    for table in (fock._letter_step, fock._word_step, fock._embed_word):
+        table.cache_clear()  # so that the first calls run both steps
+    reads = []
+    schur_product = fock._schur_product
+
+    def recording(kept, factors):
+        value = schur_product(kept, factors)
+        reads.append((sys._getframe(1).f_code.co_name, (kept, factors), value, list(value)))
+        return value
+
+    monkeypatch.setattr(fock, "_schur_product", recording)
     sig = SIG_FREE2
     a, b = sig.unit_weight(0), sig.unit_weight(1)
     right = embed(sig, FreeElement({((1, -2),): 1, ((0, -1), (1, -1)): Fraction(1, 2)}))
@@ -681,6 +695,9 @@ def test_results_never_alias_the_memo():
         again = call()
         assert again == want and again.terms == want.terms
     assert fock._letter_step.cache_info().hits > before
+    assert {"_letter_step", "_word_step"} <= {caller for caller, (kept, _), _, _ in reads if kept}
+    for _, args, value, copy in reads:
+        assert schur_product(*args) is value and list(value) == copy
 
 
 def test_letter_kernel_shared_by_equal_charge_rows():
@@ -1178,3 +1195,94 @@ def test_word_step_splits_a_run_across_charges():
             assert got == product_state(SIG_FREE2, _word_image(SIG_FREE2, cw), m, x)
             products += 1
     assert products == 15
+
+
+def _poly_product(polys):
+    """The product of polynomials given as ((heis, int), ...), by sorting every product monomial."""
+    out = {(): 1}
+    for poly in polys:
+        nxt = {}
+        for m1, c1 in out.items():
+            for m2, c2 in poly:
+                key = tuple(sorted(m1 + m2))
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        out = nxt
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=("ferm", "free2", "neg", "A2"))
+def test_schur_product_against_merge(sig):
+    # _schur_product(kept, factors) is the kept-free product with kept sorted into
+    # each monomial and equal keys summed; the kept-free product is the product of
+    # the e! S_e(alpha), and its entry for one factor is _schur itself
+    rng = seeded(40)
+    shapes = set()
+    for _ in range(80):
+        size = rng.choice((0, 1, 1, 2, 3))  # no factor, one, several
+        factors = []
+        for _ in range(size):
+            alpha = rng.choice((sig.unit_weight(0), tuple(rng.randint(-2, 2) for _ in range(sig.size))))
+            factors.append((alpha, rng.randint(0, 4)))  # degree 0 included
+        factors = tuple(sorted(factors))
+        colours = sorted({g for alpha, _ in factors for g, a in enumerate(alpha) if a}) or [0]
+        letters = [(rng.randint(1, 3), rng.choice((rng.choice(colours), rng.randrange(sig.size)))) for _ in range(3)]
+        kept = tuple(sorted(rng.choice(letters) for _ in range(rng.randint(0, 4))))  # repeated letters
+        got = fock._schur_product(kept, factors)
+        assert type(got) is tuple
+        for heis, c in got:
+            assert type(heis) is tuple and heis == tuple(sorted(heis))
+            assert type(c) is int and c
+        plain = fock._schur_product((), factors)
+        reference = {}
+        for mono, c in plain:
+            key = tuple(sorted(kept + mono))
+            reference[key] = reference.get(key, 0) + c
+        assert len(dict(got)) == len(got) and dict(got) == {key: c for key, c in reference.items() if c}
+        assert dict(plain) == _poly_product(fock._schur(alpha, e) for alpha, e in factors)
+        shapes.add((min(size, 2), bool(kept), any(e == 0 for _, e in factors), len(set(kept)) < len(kept)))
+    assert {(0, True), (1, True), (2, True), (2, False)} <= {shape[:2] for shape in shapes}
+    assert any(shape[2] for shape in shapes) and any(shape[3] for shape in shapes)
+    alpha = sig.unit_weight(0)
+    for e in range(6):
+        assert fock._schur_product((), ((alpha, e),)) == fock._schur(alpha, e)
+    assert fock._schur_product((), ()) == (((), 1),)
+
+
+@pytest.mark.parametrize("sig", (SIG_FREE2, FREE4), ids=("free2", "free4"))
+def test_word_step_on_equal_charges(sig, monkeypatch):
+    # words of one repeated charge, where Schur degrees that differ by a permutation
+    # give one factor multiset: at output degrees 0-8 the word step equals the general
+    # product of the word's image and product_word, and some compositions merge.
+    # N(a,a) > 0, so that a(1)a(-1) vac and a(3)a(-3) vac are nonzero
+    seen = []
+    factors = fock._factors
+
+    def recording(alphas, es):
+        got = factors(alphas, es)
+        seen.append((got, es))
+        return got
+
+    monkeypatch.setattr(fock, "_factors", recording)
+    a = sig.unit_weight(0)
+    x = FockElement({((), sig.unit_weight(1)): 1, (((1, 0), (2, 1)), a): Fraction(-2, 3)})
+    merged = products = 0
+    for modes in ((1, -1), (3, -3), (1, -2, -1)):
+        cw = tuple((a, n) for n in modes)
+        rows = _word_rows(sig, cw)
+        image = _word_image(sig, cw)
+        top = max(_out_degree(sig, cw, 0, st_) for st_ in x.terms)  # the largest output degree at m = 0
+        for m in range(top - 8, top + 1):
+            if max(_out_degree(sig, cw, m, st_) for st_ in x.terms) < 0:
+                continue
+            seen.clear()
+            nums, d = fock._word_step.__wrapped__(rows, cw, m, frozenset(x.nums.items()))  # run, not read
+            by_key = {}
+            for key, es in seen:
+                by_key.setdefault(key, set()).add(es)
+            # compositions whose nonzero degrees come in different orders share one key
+            merged += any(len({tuple(e for e in es if e) for es in group}) > 1 for group in by_key.values())
+            got = fock._element(nums, d * x.den)
+            assert got == product_word(sig, cw, m, x)
+            assert got == product_state(sig, image, m, x)
+            products += not got.is_zero()
+    assert products >= 20 and merged >= 10
